@@ -7,9 +7,9 @@ use ndetect_core::{
     WorstCaseAnalysis,
 };
 use ndetect_faults::FaultUniverse;
-use ndetect_netlist::{bench_format, Netlist, NetlistError, SeqNetlist};
-use ndetect_seq::{expand_stored, FaultModel};
-use ndetect_serve::render::{CorpusRequest, Knobs, StoreProvider};
+use ndetect_netlist::{bench_format, Netlist};
+use ndetect_seq::FaultModel;
+use ndetect_serve::render::{Circuit, CorpusRequest, Knobs, StoreProvider, UniverseProvider};
 use ndetect_sim::MemoryBudget;
 use ndetect_store::Store;
 use std::path::PathBuf;
@@ -156,18 +156,12 @@ fn dispatch_command(command: &str, rest: &[&String]) -> Result<(), String> {
         "list" => list(),
         "stats" => {
             let store = open_store_degraded(&rest)?;
-            with_any_circuit(&rest, |_, kind| match kind {
-                CircuitKind::Comb(n) => stats(&n, knobs, store.as_ref()),
-                CircuitKind::Seq(s, m) => seq_stats(&s, m, knobs, store.as_ref()),
-            })
+            stats(&any_circuit(&rest)?.1, knobs, store.as_ref())
         }
         "worst" => {
             let floor = flag_value(&rest, "--floor")?.unwrap_or(100);
             let store = open_store_degraded(&rest)?;
-            with_any_circuit(&rest, |_, kind| match kind {
-                CircuitKind::Comb(n) => worst(&n, floor, knobs, store.as_ref()),
-                CircuitKind::Seq(s, m) => seq_worst(&s, m, floor, knobs, store.as_ref()),
-            })
+            worst(&any_circuit(&rest)?.1, floor, knobs, store.as_ref())
         }
         "average" => {
             let k = flag_value(&rest, "--k")?.unwrap_or(200);
@@ -175,22 +169,18 @@ fn dispatch_command(command: &str, rest: &[&String]) -> Result<(), String> {
             let def = flag_value(&rest, "--def")?.unwrap_or(1) as u32;
             let tail = flag_value(&rest, "--tail")?.unwrap_or(nmax + 1);
             let store = open_store_degraded(&rest)?;
-            with_any_circuit(&rest, |name, kind| {
-                let universe = match kind {
-                    CircuitKind::Comb(n) => universe_of(&n, knobs, store.as_ref())?,
-                    CircuitKind::Seq(s, m) => seq_universe_of(&s, m, knobs, store.as_ref())?,
-                };
-                average(
-                    name,
-                    &universe,
-                    k,
-                    nmax as u32,
-                    def,
-                    tail as u32,
-                    knobs,
-                    store.as_ref(),
-                )
-            })
+            let (name, circuit) = any_circuit(&rest)?;
+            let universe = circuit.universe(knobs, &StoreProvider::new(store.as_ref()))?;
+            average(
+                name,
+                &universe,
+                k,
+                nmax as u32,
+                def,
+                tail as u32,
+                knobs,
+                store.as_ref(),
+            )
         }
         "greedy" => {
             let n_det = flag_value(&rest, "--n")?.unwrap_or(10);
@@ -204,14 +194,15 @@ fn dispatch_command(command: &str, rest: &[&String]) -> Result<(), String> {
             let do_compact = flag_present(&rest, "--compact");
             let seed = flag_value(&rest, "--seed")?.map(|s| s as u64);
             let store = open_store_degraded(&rest)?;
-            with_any_circuit(&rest, |_, kind| match kind {
-                CircuitKind::Comb(n) => {
-                    gen_set(&n, n_det as u32, do_compact, seed, knobs, store.as_ref())
-                }
-                CircuitKind::Seq(s, m) => {
-                    seq_gen_set(&s, m, n_det as u32, do_compact, seed, knobs, store.as_ref())
-                }
-            })
+            let circuit = any_circuit(&rest)?.1;
+            gen_set(
+                &circuit,
+                n_det as u32,
+                do_compact,
+                seed,
+                knobs,
+                store.as_ref(),
+            )
         }
         "synth" => with_circuit(&rest, |_, n| {
             print!("{}", bench_format::write(&n));
@@ -347,72 +338,43 @@ fn positionals<'a>(rest: &[&'a String]) -> Vec<&'a str> {
     out
 }
 
+/// The circuit-name positional: the first one that is not a number.
+fn circuit_name<'a>(rest: &[&'a String]) -> Result<&'a str, String> {
+    positionals(rest)
+        .into_iter()
+        .find(|a| !a.chars().all(|c| c.is_ascii_digit()))
+        .ok_or_else(|| "missing circuit name".to_string())
+}
+
 fn with_circuit(
     rest: &[&String],
     f: impl FnOnce(&str, Netlist) -> Result<(), String>,
 ) -> Result<(), String> {
-    let name = positionals(rest)
-        .into_iter()
-        .find(|a| !a.chars().all(|c| c.is_ascii_digit()))
-        .ok_or("missing circuit name")?;
+    let name = circuit_name(rest)?;
     let netlist = ndetect_circuits::build(name).map_err(|e| e.to_string())?;
     f(name, netlist)
 }
 
-/// A resolved circuit argument: combinational, or sequential paired
-/// with the fault model its time-frame expansion lowers to.
-enum CircuitKind {
-    Comb(Netlist),
-    Seq(SeqNetlist, FaultModel),
+/// The `--fault-model` flag, parsed (`None` when absent), plus how it
+/// reads in the error for a combinational circuit.
+fn fault_model_flag(rest: &[&String]) -> Result<(Option<FaultModel>, String), String> {
+    let Some(v) = flag_str(rest, "--fault-model")? else {
+        return Ok((None, String::new()));
+    };
+    let model = FaultModel::parse(v).ok_or_else(|| {
+        format!("bad value for --fault-model: `{v}` (expected transition or stuck-at)")
+    })?;
+    Ok((Some(model), format!("--fault-model {}", model.label())))
 }
 
-/// The `--fault-model` flag, parsed; `None` when absent.
-fn fault_model_flag(rest: &[&String]) -> Result<Option<FaultModel>, String> {
-    match flag_str(rest, "--fault-model")? {
-        None => Ok(None),
-        Some(v) => FaultModel::parse(v).map(Some).ok_or_else(|| {
-            format!("bad value for --fault-model: `{v}` (expected transition or stuck-at)")
-        }),
-    }
-}
-
-/// Resolves a circuit name to combinational or sequential. The
-/// combinational suite is tried first so existing names keep their
-/// meaning; unknown names fall back to the sequential registry
-/// (`s27`, `shift4`, `cnt3`). `--seq` skips the combinational lookup,
-/// and `--fault-model` on a combinational circuit is an error —
-/// fault-model selection only exists for time-frame expansion.
-fn with_any_circuit(
-    rest: &[&String],
-    f: impl FnOnce(&str, CircuitKind) -> Result<(), String>,
-) -> Result<(), String> {
-    let name = positionals(rest)
-        .into_iter()
-        .find(|a| !a.chars().all(|c| c.is_ascii_digit()))
-        .ok_or("missing circuit name")?;
-    let model = fault_model_flag(rest)?;
-    if !flag_present(rest, "--seq") {
-        if let Ok(netlist) = ndetect_circuits::build(name) {
-            if let Some(m) = model {
-                return Err(format!(
-                    "--fault-model {} selects a sequential fault model; `{name}` is combinational",
-                    m.label()
-                ));
-            }
-            return f(name, CircuitKind::Comb(netlist));
-        }
-    }
-    match ndetect_circuits::build_seq(name) {
-        Ok(seq) => f(name, CircuitKind::Seq(seq, model.unwrap_or_default())),
-        Err(_) => match ndetect_circuits::build(name) {
-            // Only reachable under --seq: the name exists, but in the
-            // combinational suite.
-            Ok(_) => Err(format!("`{name}` is not a sequential circuit (drop --seq)")),
-            // Report through the combinational error so the message
-            // lists the suite the user most likely wanted.
-            Err(e) => Err(e.to_string()),
-        },
-    }
+/// Resolves the circuit argument of an analysis command, combinational
+/// or sequential ([`Circuit::resolve`]; `--seq` skips the combinational
+/// suite).
+fn any_circuit<'a>(rest: &[&'a String]) -> Result<(&'a str, Circuit), String> {
+    let name = circuit_name(rest)?;
+    let (model, model_flag) = fault_model_flag(rest)?;
+    let circuit = Circuit::resolve(name, model, flag_present(rest, "--seq"), &model_flag)?;
+    Ok((name, circuit))
 }
 
 fn list() -> Result<(), String> {
@@ -435,47 +397,20 @@ fn list() -> Result<(), String> {
     Ok(())
 }
 
-fn universe_of(
-    netlist: &Netlist,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<FaultUniverse, String> {
-    FaultUniverse::build_stored(netlist, knobs.universe_options(), store).map_err(|e| e.to_string())
-}
-
-/// Expands a sequential circuit and builds the explicit-target fault
-/// universe of its two-frame model, both store-backed so a warm run
-/// does neither expansion nor simulation.
-fn seq_universe_of(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<FaultUniverse, String> {
-    let expanded = expand_stored(seq, model, store).map_err(|e| e.to_string())?;
-    FaultUniverse::build_stored_explicit(
-        expanded.netlist(),
-        &expanded.explicit_targets(),
-        knobs.universe_options(),
-        store,
-    )
-    .map_err(|e| e.to_string())
-}
-
 /// The one-shot analysis commands delegate to `ndetect_serve::render`,
 /// the render layer shared with `ndet serve` — this is what guarantees
 /// a serve reply is byte-identical to the one-shot stdout.
-fn stats(netlist: &Netlist, knobs: Knobs, store: Option<&Store>) -> Result<(), String> {
+fn stats(circuit: &Circuit, knobs: Knobs, store: Option<&Store>) -> Result<(), String> {
     let provider = StoreProvider::new(store);
     print!(
         "{}",
-        ndetect_serve::render_stats(netlist, knobs, &provider)?
+        ndetect_serve::render_stats(circuit, knobs, &provider)?
     );
     Ok(())
 }
 
 fn worst(
-    netlist: &Netlist,
+    circuit: &Circuit,
     floor: usize,
     knobs: Knobs,
     store: Option<&Store>,
@@ -483,57 +418,7 @@ fn worst(
     let provider = StoreProvider::new(store);
     print!(
         "{}",
-        ndetect_serve::render_worst(netlist, floor, knobs, &provider)?
-    );
-    Ok(())
-}
-
-fn seq_stats(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<(), String> {
-    let provider = StoreProvider::new(store);
-    print!(
-        "{}",
-        ndetect_serve::render_seq_stats(seq, model, knobs, &provider)?
-    );
-    Ok(())
-}
-
-fn seq_worst(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    floor: usize,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<(), String> {
-    let provider = StoreProvider::new(store);
-    print!(
-        "{}",
-        ndetect_serve::render_seq_worst(seq, model, floor, knobs, &provider)?
-    );
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn seq_gen_set(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    n: u32,
-    compact: bool,
-    seed: Option<u64>,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<(), String> {
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    let provider = StoreProvider::new(store);
-    print!(
-        "{}",
-        ndetect_serve::render_seq_gen(seq, model, n, compact, seed, knobs, &provider)?
+        ndetect_serve::render_worst(circuit, floor, knobs, &provider)?
     );
     Ok(())
 }
@@ -594,7 +479,7 @@ fn average(
 }
 
 fn greedy(netlist: &Netlist, n: u32, knobs: Knobs, store: Option<&Store>) -> Result<(), String> {
-    let universe = universe_of(netlist, knobs, store)?;
+    let universe = StoreProvider::new(store).universe(netlist, None, knobs.universe_options())?;
     let set = greedy_n_detection(&universe, n);
     println!(
         "greedy {n}-detection set: {} tests, bridging coverage {:.2}%",
@@ -609,7 +494,7 @@ fn greedy(netlist: &Netlist, n: u32, knobs: Knobs, store: Option<&Store>) -> Res
 /// compaction and seeded tie-breaking, store-backed so warm
 /// re-generation is a cache hit.
 fn gen_set(
-    netlist: &Netlist,
+    circuit: &Circuit,
     n: u32,
     compact: bool,
     seed: Option<u64>,
@@ -622,7 +507,7 @@ fn gen_set(
     let provider = StoreProvider::new(store);
     print!(
         "{}",
-        ndetect_serve::render_gen(netlist, n, compact, seed, knobs, &provider)?
+        ndetect_serve::render_gen(circuit, n, compact, seed, knobs, &provider)?
     );
     Ok(())
 }
@@ -639,8 +524,8 @@ fn pla_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<(),
     let pla = ndetect_fsm::parse_pla(name, &text).map_err(|e| e.to_string())?;
     let netlist = pla.synthesize().map_err(|e| e.to_string())?;
     match sub {
-        "stats" => stats(&netlist, knobs, store),
-        "worst" => worst(&netlist, 100, knobs, store),
+        "stats" => stats(&Circuit::Comb(netlist), knobs, store),
+        "worst" => worst(&Circuit::Comb(netlist), 100, knobs, store),
         "synth" => {
             print!("{}", bench_format::write(&netlist));
             Ok(())
@@ -658,45 +543,21 @@ fn bench_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<(
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("bench");
-    let model = fault_model_flag(rest)?;
+    let (model, model_flag) = fault_model_flag(rest)?;
     // Sequential files are recognised two ways: `--seq` forces the
     // DFF-accepting parser, and a plain parse that fails specifically
     // because the file contains flip-flops auto-upgrades to it.
-    let netlist = if flag_present(rest, "--seq") {
-        None
-    } else {
-        match bench_format::parse(name, &text) {
-            Ok(n) => Some(n),
-            Err(NetlistError::Sequential { .. }) => None,
-            Err(e) => return Err(e.to_string()),
-        }
-    };
-    match netlist {
-        Some(netlist) => {
-            if let Some(m) = model {
-                return Err(format!(
-                    "--fault-model {} selects a sequential fault model; `{name}` is combinational",
-                    m.label()
-                ));
-            }
-            match sub {
-                "stats" => stats(&netlist, knobs, store),
-                "worst" => worst(&netlist, 100, knobs, store),
-                "cones" => cones(&netlist, 14, knobs, store),
-                other => Err(format!("unknown bench-file subcommand `{other}`")),
-            }
-        }
-        None => {
-            let seq = bench_format::parse_seq(name, &text).map_err(|e| e.to_string())?;
-            let model = model.unwrap_or_default();
-            match sub {
-                "stats" => seq_stats(&seq, model, knobs, store),
-                "worst" => seq_worst(&seq, model, 100, knobs, store),
-                other => Err(format!(
-                    "unknown bench-file subcommand `{other}` for a sequential circuit (expected stats or worst)"
-                )),
-            }
-        }
+    let circuit = Circuit::parse_bench(name, &text, flag_present(rest, "--seq"))
+        .map_err(|e| e.to_string())?
+        .with_model(name, model, &model_flag)?;
+    match (sub, &circuit) {
+        ("stats", _) => stats(&circuit, knobs, store),
+        ("worst", _) => worst(&circuit, 100, knobs, store),
+        ("cones", Circuit::Comb(netlist)) => cones(netlist, 14, knobs, store),
+        (other, Circuit::Comb(_)) => Err(format!("unknown bench-file subcommand `{other}`")),
+        (other, Circuit::Seq(..)) => Err(format!(
+            "unknown bench-file subcommand `{other}` for a sequential circuit (expected stats or worst)"
+        )),
     }
 }
 

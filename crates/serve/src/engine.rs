@@ -16,7 +16,7 @@
 //! must report exactly one build per distinct artifact.
 
 use crate::hot::Lru;
-use crate::render::UniverseProvider;
+use crate::render::{StoreProvider, UniverseProvider};
 use crate::SingleFlight;
 use ndetect_faults::{
     explicit_universe_key, universe_key, ExplicitTargets, FaultUniverse, UniverseOptions,
@@ -208,17 +208,22 @@ impl Engine {
             .expect("hot set lru")
             .get(&(HOT_GENERATED, key))
     }
+}
 
-    /// The shared universe read path: hot LRU, then single-flight
-    /// around `build` (which reads through the store), counting an
-    /// actual build only on a store miss. Both the enumerated and the
-    /// explicit-target (time-frame-expanded) universes go through here;
-    /// they differ only in `key` and `build`.
-    fn universe_through_layers(
+impl UniverseProvider for Engine {
+    /// The universe read path: hot LRU, then single-flight around a
+    /// store-backed build, counting an actual build only on a store
+    /// miss.
+    fn universe(
         &self,
-        key: ArtifactKey,
-        build: &(dyn Fn(Option<&Store>) -> Result<FaultUniverse, String> + Sync),
+        netlist: &Netlist,
+        explicit: Option<&ExplicitTargets>,
+        options: UniverseOptions,
     ) -> Result<Arc<FaultUniverse>, String> {
+        let key = match explicit {
+            None => universe_key(netlist, options),
+            Some(explicit) => explicit_universe_key(&explicit.canonical, options),
+        };
         if let Some(hit) = self.hot_universe_get(key) {
             self.counters.hot_hits.inc();
             return Ok(hit);
@@ -242,7 +247,7 @@ impl Engine {
             }
             let store = self.store.as_ref();
             let misses = store.map_or(0, Store::session_misses);
-            let universe = Arc::new(build(store)?);
+            let universe = StoreProvider::new(store).universe(netlist, explicit, options)?;
             // A store hit deserializes instead of simulating; only a
             // store miss (or no store at all) is an actual build.
             if store.is_none_or(|s| s.session_misses() > misses) {
@@ -264,32 +269,6 @@ impl Engine {
         self.counters.coalesced.add(joined);
         result
     }
-}
-
-impl UniverseProvider for Engine {
-    fn universe(
-        &self,
-        netlist: &Netlist,
-        options: UniverseOptions,
-    ) -> Result<Arc<FaultUniverse>, String> {
-        let key = universe_key(netlist, options);
-        self.universe_through_layers(key, &|store| {
-            FaultUniverse::build_stored(netlist, options, store).map_err(|e| e.to_string())
-        })
-    }
-
-    fn universe_explicit(
-        &self,
-        netlist: &Netlist,
-        explicit: &ExplicitTargets,
-        options: UniverseOptions,
-    ) -> Result<Arc<FaultUniverse>, String> {
-        let key = explicit_universe_key(&explicit.canonical, options);
-        self.universe_through_layers(key, &|store| {
-            FaultUniverse::build_stored_explicit(netlist, explicit, options, store)
-                .map_err(|e| e.to_string())
-        })
-    }
 
     fn generated(&self, universe: &Arc<FaultUniverse>, options: &GenOptions) -> Arc<GeneratedSet> {
         let key = generated_key(universe, options);
@@ -310,7 +289,7 @@ impl UniverseProvider for Engine {
             }
             let store = self.store.as_ref();
             let misses = store.map_or(0, Store::session_misses);
-            let set = Arc::new(ndetect_gen::generate_stored(universe, options, store));
+            let set = StoreProvider::new(store).generated(universe, options);
             if store.is_none_or(|s| s.session_misses() > misses) {
                 self.counters.gen_builds.inc();
             }
@@ -351,8 +330,8 @@ mod tests {
     fn repeated_requests_build_once_and_hit_the_hot_cache() {
         let engine = Engine::new(None, 8, 8);
         let netlist = figure1::netlist();
-        let a = engine.universe(&netlist, options()).unwrap();
-        let b = engine.universe(&netlist, options()).unwrap();
+        let a = engine.universe(&netlist, None, options()).unwrap();
+        let b = engine.universe(&netlist, None, options()).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second request must share the Arc");
         assert_eq!(engine.counters().universe_builds.get(), 1);
         assert_eq!(engine.counters().hot_hits.get(), 1);
@@ -370,7 +349,7 @@ mod tests {
                 let barrier = &barrier;
                 scope.spawn(move || {
                     barrier.wait();
-                    engine.universe(netlist, options()).unwrap();
+                    engine.universe(netlist, None, options()).unwrap();
                 });
             }
         });
@@ -385,7 +364,7 @@ mod tests {
     fn generated_sets_dedup_like_universes() {
         let engine = Engine::new(None, 8, 8);
         let netlist = figure1::netlist();
-        let universe = engine.universe(&netlist, options()).unwrap();
+        let universe = engine.universe(&netlist, None, options()).unwrap();
         let gen_options = GenOptions {
             n: 2,
             compact: true,
@@ -401,8 +380,8 @@ mod tests {
     fn zero_capacity_hot_cache_still_dedups_in_flight() {
         let engine = Engine::new(None, 0, 0);
         let netlist = figure1::netlist();
-        let a = engine.universe(&netlist, options()).unwrap();
-        let b = engine.universe(&netlist, options()).unwrap();
+        let a = engine.universe(&netlist, None, options()).unwrap();
+        let b = engine.universe(&netlist, None, options()).unwrap();
         // No hot layer: serial requests rebuild (no store either), but
         // results are still correct.
         assert_eq!(a.targets().len(), b.targets().len());

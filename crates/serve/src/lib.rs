@@ -11,8 +11,11 @@
 //! thundering herd of identical requests runs exactly one build, and a
 //! warm request touches neither disk nor simulator.
 //!
-//! The rendering layer ([`render`]) is shared with the CLI, so a serve
-//! reply is byte-for-byte the stdout of the matching one-shot command.
+//! The rendering layer ([`render`]) is shared with the CLI: both front
+//! ends resolve their circuit argument into one [`Circuit`]
+//! (combinational or sequential) and call the same entry point, so a
+//! serve reply is byte-for-byte the stdout of the matching one-shot
+//! command.
 //! Shutdown ([`signal`]) is a drain: in-flight requests finish, new
 //! ones get structured `err shutdown` replies, and the process exits 0.
 
@@ -27,9 +30,8 @@ pub mod singleflight;
 pub use engine::{Counters, Engine};
 pub use protocol::{read_reply, ChaosCommand, ErrorReply, Reply, Request};
 pub use render::{
-    render_corpus, render_corpus_stream, render_gen, render_seq_gen, render_seq_stats,
-    render_seq_worst, render_stats, render_worst, CorpusOutput, CorpusRequest, CorpusTail, Knobs,
-    StoreProvider, UniverseProvider,
+    render_corpus, render_corpus_stream, render_gen, render_stats, render_worst, Circuit,
+    CorpusOutput, CorpusRequest, CorpusTail, Knobs, StoreProvider, UniverseProvider,
 };
 pub use server::{Server, ServerConfig, ShutdownHandle};
 pub use singleflight::SingleFlight;

@@ -7,6 +7,15 @@
 //! the CLI builds straight through the on-disk store
 //! ([`StoreProvider`]), the server layers its hot LRU and single-flight
 //! dedup on top ([`crate::Engine`]).
+//!
+//! Every verb takes one resolved [`Circuit`], combinational or
+//! sequential: [`Circuit::resolve`] (registry names) and
+//! [`Circuit::parse_bench`] (`.bench` text) produce it, and
+//! [`Circuit::universe`] is the one step from a circuit to its fault
+//! universe (a sequential circuit is expanded first and analysed over
+//! its lowered targets). The entry points are [`render_stats`],
+//! [`render_worst`], [`render_gen`], and [`render_corpus`] /
+//! [`render_corpus_stream`] for directories of `.bench` files.
 
 use ndetect_core::partition::analyze_output_cones_budget;
 use ndetect_core::report::{render_table2, render_table3, table2_row, table3_row};
@@ -48,7 +57,12 @@ impl Knobs {
 /// reads through the on-disk store; the server adds an in-memory LRU
 /// and single-flight dedup. Rendering code only sees this trait.
 pub trait UniverseProvider: Sync {
-    /// A fault universe for `netlist` under `options`.
+    /// A fault universe for `netlist` under `options`: over its
+    /// collapsed stuck-at faults, or over the `explicit` fault
+    /// population a time-frame expansion lowered to. Keys come from
+    /// [`ndetect_faults::universe_key`] or, for explicit targets, from
+    /// the source model's canonical bytes via
+    /// [`ndetect_faults::explicit_universe_key`].
     ///
     /// # Errors
     ///
@@ -57,22 +71,7 @@ pub trait UniverseProvider: Sync {
     fn universe(
         &self,
         netlist: &Netlist,
-        options: UniverseOptions,
-    ) -> Result<Arc<FaultUniverse>, String>;
-
-    /// A fault universe over an explicitly lowered fault population
-    /// (time-frame-expanded transition faults); keyed by the *source*
-    /// model's canonical bytes via
-    /// [`ndetect_faults::explicit_universe_key`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a user-facing message when the expanded circuit cannot
-    /// be simulated exhaustively.
-    fn universe_explicit(
-        &self,
-        netlist: &Netlist,
-        explicit: &ExplicitTargets,
+        explicit: Option<&ExplicitTargets>,
         options: UniverseOptions,
     ) -> Result<Arc<FaultUniverse>, String>;
 
@@ -102,22 +101,17 @@ impl UniverseProvider for StoreProvider<'_> {
     fn universe(
         &self,
         netlist: &Netlist,
+        explicit: Option<&ExplicitTargets>,
         options: UniverseOptions,
     ) -> Result<Arc<FaultUniverse>, String> {
-        FaultUniverse::build_stored(netlist, options, self.store)
-            .map(Arc::new)
-            .map_err(|e| e.to_string())
-    }
-
-    fn universe_explicit(
-        &self,
-        netlist: &Netlist,
-        explicit: &ExplicitTargets,
-        options: UniverseOptions,
-    ) -> Result<Arc<FaultUniverse>, String> {
-        FaultUniverse::build_stored_explicit(netlist, explicit, options, self.store)
-            .map(Arc::new)
-            .map_err(|e| e.to_string())
+        match explicit {
+            None => FaultUniverse::build_stored(netlist, options, self.store),
+            Some(explicit) => {
+                FaultUniverse::build_stored_explicit(netlist, explicit, options, self.store)
+            }
+        }
+        .map(Arc::new)
+        .map_err(|e| e.to_string())
     }
 
     fn generated(&self, universe: &Arc<FaultUniverse>, options: &GenOptions) -> Arc<GeneratedSet> {
@@ -129,24 +123,183 @@ impl UniverseProvider for StoreProvider<'_> {
     }
 }
 
-/// `ndet stats` / serve `stats`: structure, fault population, kernel.
+/// A resolved circuit argument: what every analysis verb takes.
+pub enum Circuit {
+    /// A combinational circuit, analysed directly.
+    Comb(Netlist),
+    /// A sequential circuit, analysed through its two-frame broadside
+    /// expansion under the given fault model.
+    Seq(SeqNetlist, FaultModel),
+}
+
+impl Circuit {
+    /// Resolves a circuit name. The combinational suite is tried first
+    /// so existing names keep their meaning; other names fall back to
+    /// the sequential registry (`s27`, `shift4`, `cnt3`). `force_seq`
+    /// skips the combinational lookup. A fault model only exists for
+    /// time-frame expansion, so `model` on a combinational circuit is
+    /// an error naming `model_flag`, the front end's spelling of it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a user-facing message for names in neither registry, a
+    /// combinational name under `force_seq`, or a fault model on a
+    /// combinational circuit.
+    pub fn resolve(
+        name: &str,
+        model: Option<FaultModel>,
+        force_seq: bool,
+        model_flag: &str,
+    ) -> Result<Self, String> {
+        let circuit = match (ndetect_circuits::build(name), force_seq) {
+            (Ok(netlist), false) => Circuit::Comb(netlist),
+            (comb, _) => match (ndetect_circuits::build_seq(name), comb) {
+                (Ok(seq), _) => Circuit::Seq(seq, FaultModel::default()),
+                // Only reachable under `force_seq`: the name exists, but
+                // in the combinational suite.
+                (Err(_), Ok(_)) => {
+                    return Err(format!("`{name}` is not a sequential circuit (drop --seq)"))
+                }
+                // Unknown everywhere: report the suite error, which lists
+                // the circuits the user most likely wanted.
+                (Err(_), Err(e)) => return Err(e.to_string()),
+            },
+        };
+        circuit.with_model(name, model, model_flag)
+    }
+
+    /// Parses ISCAS `.bench` text. Files containing flip-flops (or any
+    /// file under `force_seq`) parse as sequential circuits under the
+    /// default fault model.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error of the combinational or the sequential
+    /// parser.
+    pub fn parse_bench(name: &str, text: &str, force_seq: bool) -> Result<Self, NetlistError> {
+        if !force_seq {
+            match bench_format::parse(name, text) {
+                // A DFF is a classification, not a failure.
+                Err(NetlistError::Sequential { .. }) => {}
+                parsed => return parsed.map(Circuit::Comb),
+            }
+        }
+        bench_format::parse_seq(name, text).map(|seq| Circuit::Seq(seq, FaultModel::default()))
+    }
+
+    /// Applies an explicitly selected fault model; see [`Self::resolve`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a user-facing message naming `model_flag` when `model` is
+    /// given for a combinational circuit.
+    pub fn with_model(
+        self,
+        name: &str,
+        model: Option<FaultModel>,
+        model_flag: &str,
+    ) -> Result<Self, String> {
+        match (self, model) {
+            (Circuit::Comb(_), Some(_)) => Err(format!(
+                "{model_flag} selects a sequential fault model; `{name}` is combinational"
+            )),
+            (Circuit::Seq(seq, _), Some(model)) => Ok(Circuit::Seq(seq, model)),
+            (circuit, None) => Ok(circuit),
+        }
+    }
+
+    /// The circuit's fault universe through `provider`: a sequential
+    /// circuit is expanded (through the store) and its lowered targets
+    /// become an explicit-target universe.
+    ///
+    /// # Errors
+    ///
+    /// Returns a user-facing message when the expansion fails or the
+    /// universe cannot be built.
+    pub fn universe(
+        &self,
+        knobs: Knobs,
+        provider: &dyn UniverseProvider,
+    ) -> Result<Arc<FaultUniverse>, String> {
+        self.lower(provider.store())?.universe(knobs, provider)
+    }
+
+    /// The netlist the analyses simulate: the circuit itself, or its
+    /// two-frame expansion.
+    fn lower(&self, store: Option<&Store>) -> Result<Lowered<'_>, String> {
+        match self {
+            Circuit::Comb(netlist) => Ok(Lowered::Comb(netlist)),
+            Circuit::Seq(seq, model) => expand_stored(seq, *model, store)
+                .map(|expanded| Lowered::Seq(Box::new(expanded)))
+                .map_err(|e| e.to_string()),
+        }
+    }
+
+    /// [`Self::lower`] plus the universe: the one step every render
+    /// function starts from.
+    fn analysed(
+        &self,
+        knobs: Knobs,
+        provider: &dyn UniverseProvider,
+    ) -> Result<(Lowered<'_>, Arc<FaultUniverse>), String> {
+        let lowered = self.lower(provider.store())?;
+        let universe = lowered.universe(knobs, provider)?;
+        Ok((lowered, universe))
+    }
+}
+
+/// A circuit lowered to the combinational netlist its analyses
+/// simulate.
+enum Lowered<'a> {
+    Comb(&'a Netlist),
+    Seq(Box<ExpandedModel>),
+}
+
+impl Lowered<'_> {
+    fn netlist(&self) -> &Netlist {
+        match self {
+            Lowered::Comb(netlist) => netlist,
+            Lowered::Seq(expanded) => expanded.netlist(),
+        }
+    }
+
+    /// The expansion summary line(s) that head every sequential report;
+    /// empty for combinational circuits.
+    fn header(&self) -> String {
+        match self {
+            Lowered::Comb(_) => String::new(),
+            Lowered::Seq(expanded) => format!("{expanded}\n"),
+        }
+    }
+
+    fn universe(
+        &self,
+        knobs: Knobs,
+        provider: &dyn UniverseProvider,
+    ) -> Result<Arc<FaultUniverse>, String> {
+        let explicit = match self {
+            Lowered::Comb(_) => None,
+            Lowered::Seq(expanded) => Some(expanded.explicit_targets()),
+        };
+        provider.universe(self.netlist(), explicit.as_ref(), knobs.universe_options())
+    }
+}
+
+/// `ndet stats` / serve `stats`: structure, fault population, kernel
+/// (after the expansion summary, for a sequential circuit).
 ///
 /// # Errors
 ///
-/// Returns a user-facing message when the universe cannot be built.
+/// Returns a user-facing message when the expansion fails or the
+/// universe cannot be built.
 pub fn render_stats(
-    netlist: &Netlist,
+    circuit: &Circuit,
     knobs: Knobs,
     provider: &dyn UniverseProvider,
 ) -> Result<String, String> {
-    let universe = provider.universe(netlist, knobs.universe_options())?;
-    Ok(stats_body(netlist, &universe))
-}
-
-/// The shared `stats` body (combinational and sequential front ends
-/// render the same universe summary).
-fn stats_body(netlist: &Netlist, universe: &FaultUniverse) -> String {
-    let mut out = String::new();
+    let (lowered, universe) = circuit.analysed(knobs, provider)?;
+    let netlist = lowered.netlist();
+    let mut out = lowered.header();
     let _ = writeln!(out, "{netlist}");
     let _ = writeln!(out, "{}", NetlistStats::compute(netlist));
     let _ = writeln!(out, "{universe}");
@@ -157,45 +310,7 @@ fn stats_body(netlist: &Netlist, universe: &FaultUniverse) -> String {
         universe.simulator().data_plane_bytes(),
         universe.simulator().mem_budget(),
     );
-    out
-}
-
-/// Expands a sequential circuit (through the store when available) and
-/// builds the explicit-target universe over the expansion.
-fn seq_universe(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    knobs: Knobs,
-    provider: &dyn UniverseProvider,
-) -> Result<(ExpandedModel, Arc<FaultUniverse>), String> {
-    let expanded = expand_stored(seq, model, provider.store()).map_err(|e| e.to_string())?;
-    let universe = provider.universe_explicit(
-        expanded.netlist(),
-        &expanded.explicit_targets(),
-        knobs.universe_options(),
-    )?;
-    Ok((expanded, universe))
-}
-
-/// `ndet stats --seq` / serve `stats` on a sequential circuit: the
-/// expansion summary, then the same structure/universe/kernel report
-/// over the two-frame expanded netlist.
-///
-/// # Errors
-///
-/// Returns a user-facing message when the expansion fails or the
-/// expanded universe cannot be built.
-pub fn render_seq_stats(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    knobs: Knobs,
-    provider: &dyn UniverseProvider,
-) -> Result<String, String> {
-    let (expanded, universe) = seq_universe(seq, model, knobs, provider)?;
-    Ok(format!(
-        "{expanded}\n{}",
-        stats_body(expanded.netlist(), &universe)
-    ))
+    Ok(out)
 }
 
 /// `ndet worst` / serve `worst`: the worst-case nmin analysis with the
@@ -203,34 +318,18 @@ pub fn render_seq_stats(
 ///
 /// # Errors
 ///
-/// Returns a user-facing message when the universe cannot be built.
+/// Returns a user-facing message when the expansion fails or the
+/// universe cannot be built.
 pub fn render_worst(
-    netlist: &Netlist,
+    circuit: &Circuit,
     floor: usize,
     knobs: Knobs,
     provider: &dyn UniverseProvider,
 ) -> Result<String, String> {
-    let universe = provider.universe(netlist, knobs.universe_options())?;
-    Ok(worst_body(
-        netlist.name(),
-        &universe,
-        floor,
-        knobs,
-        provider,
-    ))
-}
-
-/// The shared `worst` body: analysis summary, Table 2/3 rows, and the
-/// nmin tail distribution.
-fn worst_body(
-    name: &str,
-    universe: &Arc<FaultUniverse>,
-    floor: usize,
-    knobs: Knobs,
-    provider: &dyn UniverseProvider,
-) -> String {
-    let wc = WorstCaseAnalysis::compute_stored(universe, knobs.threads, provider.store());
-    let mut out = String::new();
+    let (lowered, universe) = circuit.analysed(knobs, provider)?;
+    let name = lowered.netlist().name();
+    let wc = WorstCaseAnalysis::compute_stored(&universe, knobs.threads, provider.store());
+    let mut out = lowered.header();
     let _ = writeln!(out, "{universe}");
     let _ = writeln!(out, "{wc}");
     let _ = writeln!(out);
@@ -242,63 +341,19 @@ fn worst_body(
         let _ = writeln!(out, "\nnmin distribution (nmin >= {floor}):");
         let _ = write!(out, "{}", dist.render_ascii(24));
     }
-    out
-}
-
-/// `ndet worst --seq` / serve `worst` on a sequential circuit:
-/// worst-case nmin analysis over the lowered transition (or stuck-at)
-/// fault population of the two-frame expansion.
-///
-/// # Errors
-///
-/// Returns a user-facing message when the expansion fails or the
-/// expanded universe cannot be built.
-pub fn render_seq_worst(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    floor: usize,
-    knobs: Knobs,
-    provider: &dyn UniverseProvider,
-) -> Result<String, String> {
-    let (expanded, universe) = seq_universe(seq, model, knobs, provider)?;
-    Ok(format!(
-        "{expanded}\n{}",
-        worst_body(expanded.netlist().name(), &universe, floor, knobs, provider)
-    ))
+    Ok(out)
 }
 
 /// `ndet gen` / serve `gen`: the set-cover generation engine with
-/// compaction and seeded tie-breaking.
-///
-/// # Errors
-///
-/// Returns a user-facing message when `n` is zero or the universe
-/// cannot be built.
-pub fn render_gen(
-    netlist: &Netlist,
-    n: u32,
-    compact: bool,
-    seed: Option<u64>,
-    knobs: Knobs,
-    provider: &dyn UniverseProvider,
-) -> Result<String, String> {
-    if n == 0 {
-        return Err("n must be at least 1".into());
-    }
-    let universe = provider.universe(netlist, knobs.universe_options())?;
-    Ok(gen_body(&universe, n, compact, seed, knobs, provider))
-}
-
-/// `ndet gen --seq` / serve `gen` on a sequential circuit: broadside
-/// n-detection set generation over the expanded fault population.
+/// compaction and seeded tie-breaking; the report is the set summary,
+/// target accounting, bridging coverage, and the set listing.
 ///
 /// # Errors
 ///
 /// Returns a user-facing message when `n` is zero, the expansion
-/// fails, or the expanded universe cannot be built.
-pub fn render_seq_gen(
-    seq: &SeqNetlist,
-    model: FaultModel,
+/// fails, or the universe cannot be built.
+pub fn render_gen(
+    circuit: &Circuit,
     n: u32,
     compact: bool,
     seed: Option<u64>,
@@ -308,23 +363,7 @@ pub fn render_seq_gen(
     if n == 0 {
         return Err("n must be at least 1".into());
     }
-    let (expanded, universe) = seq_universe(seq, model, knobs, provider)?;
-    Ok(format!(
-        "{expanded}\n{}",
-        gen_body(&universe, n, compact, seed, knobs, provider)
-    ))
-}
-
-/// The shared `gen` body: set summary, target accounting, bridging
-/// coverage, and the set listing.
-fn gen_body(
-    universe: &Arc<FaultUniverse>,
-    n: u32,
-    compact: bool,
-    seed: Option<u64>,
-    knobs: Knobs,
-    provider: &dyn UniverseProvider,
-) -> String {
+    let (lowered, universe) = circuit.analysed(knobs, provider)?;
     let options = GenOptions {
         n,
         compact,
@@ -332,9 +371,9 @@ fn gen_body(
         threads: knobs.threads,
         mem_budget: knobs.mem_budget,
     };
-    let set = provider.generated(universe, &options);
+    let set = provider.generated(&universe, &options);
     let space = universe.space().num_patterns();
-    let mut out = String::new();
+    let mut out = lowered.header();
     let _ = writeln!(
         out,
         "generated {n}-detection set: {} tests ({:.2}% of the {space}-vector space{})",
@@ -368,7 +407,7 @@ fn gen_body(
         universe.bridges().len()
     );
     let _ = writeln!(out, "{set}");
-    out
+    Ok(out)
 }
 
 /// Parameters of a corpus run (`ndet corpus` / serve `corpus`).
@@ -584,7 +623,10 @@ pub fn render_corpus_stream(
 }
 
 /// Analyses one corpus circuit: exhaustively when it fits, otherwise
-/// via the per-output-cone partition (conservative aggregates).
+/// via the per-output-cone partition (conservative aggregates). A
+/// sequential circuit becomes a `seq` row: its structure columns
+/// (inputs/outputs/gates) describe the sequential circuit, its analysis
+/// columns the universe of its two-frame transition expansion.
 fn corpus_row(
     path: &Path,
     max_inputs: usize,
@@ -594,21 +636,26 @@ fn corpus_row(
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("bench");
-    let netlist = match bench_format::parse(name, &text) {
-        Ok(netlist) => netlist,
-        Err(NetlistError::Sequential { .. }) => {
-            // A DFF is a classification, not a failure: re-parse in
-            // sequential mode and analyse the two-frame transition
-            // expansion instead.
-            let seq = bench_format::parse_seq(name, &text)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            return seq_corpus_row(&seq, max_inputs, knobs, provider);
-        }
-        Err(e) => return Err(format!("{}: {e}", path.display())),
+    let circuit =
+        Circuit::parse_bench(name, &text, false).map_err(|e| format!("{}: {e}", path.display()))?;
+    let (mode, inputs, outputs, gates) = match &circuit {
+        Circuit::Comb(n) => ("full", n.num_inputs(), n.num_outputs(), n.num_gates()),
+        Circuit::Seq(s, _) => (
+            "seq",
+            s.num_true_inputs(),
+            s.num_true_outputs(),
+            s.core().num_gates(),
+        ),
     };
-
-    if netlist.num_inputs() <= max_inputs {
-        let universe = provider.universe(&netlist, knobs.universe_options())?;
+    let mut row = CorpusRow {
+        inputs,
+        outputs,
+        gates,
+        ..CorpusRow::empty(name, mode)
+    };
+    let lowered = circuit.lower(provider.store())?;
+    if lowered.netlist().num_inputs() <= max_inputs {
+        let universe = lowered.universe(knobs, provider)?;
         let wc = WorstCaseAnalysis::compute_stored(&universe, knobs.threads, provider.store());
         // Compact generated-set sizes vs the exhaustive baseline |U|:
         // how much smaller than the whole space an n-detection set is.
@@ -622,142 +669,74 @@ fn corpus_row(
             };
             Some(provider.generated(&universe, &options).len())
         };
-        Ok(CorpusRow {
-            circuit: name.to_string(),
-            mode: "full",
-            inputs: netlist.num_inputs(),
-            outputs: netlist.num_outputs(),
-            gates: netlist.num_gates(),
-            targets: universe.targets().len(),
-            bridges: universe.bridges().len(),
-            cov1: Some(wc.coverage_percent(1)),
-            cov10: Some(wc.coverage_percent(10)),
-            tail11: wc.tail_count(11),
-            max_nmin: wc.max_finite(),
-            space: Some(universe.space().num_patterns()),
-            gen1: gen_size(1),
-            gen5: gen_size(5),
-            gen10: gen_size(10),
-            kernel: Some(universe.simulator().kernel_mode()),
-            peak_bytes: Some(universe.simulator().data_plane_bytes()),
-        })
-    } else {
-        let reports = analyze_output_cones_budget(
-            &netlist,
-            max_inputs,
-            knobs.threads,
-            knobs.mem_budget,
-            provider.store(),
-        )
-        .map_err(|e| e.to_string())?;
-        if reports.is_empty() {
-            // Every cone was wider than max_inputs: nothing was
-            // simulated, so report no coverage rather than a vacuous
-            // 100%.
-            let mut row = CorpusRow::empty(name, "skipped");
-            row.inputs = netlist.num_inputs();
-            row.outputs = netlist.num_outputs();
-            row.gates = netlist.num_gates();
-            return Ok(row);
-        }
-        let total_bridges: usize = reports.iter().map(|r| r.num_bridges).sum();
-        // Bridge-weighted coverage across cones (conservative: each cone
-        // only observes its own output).
-        let weighted = |n: u32| -> f64 {
-            if total_bridges == 0 {
-                return 100.0;
-            }
-            reports
-                .iter()
-                .map(|r| {
-                    let cov = r
-                        .coverage
-                        .iter()
-                        .find(|(t, _)| *t == n)
-                        .map_or(100.0, |(_, pct)| *pct);
-                    cov * r.num_bridges as f64
-                })
-                .sum::<f64>()
-                / total_bridges as f64
-        };
-        Ok(CorpusRow {
-            circuit: name.to_string(),
-            mode: "cones",
-            inputs: netlist.num_inputs(),
-            outputs: netlist.num_outputs(),
-            gates: netlist.num_gates(),
-            targets: reports.iter().map(|r| r.num_targets).sum(),
-            bridges: total_bridges,
-            cov1: Some(weighted(1)),
-            cov10: Some(weighted(10)),
-            tail11: reports.iter().map(|r| r.tail_11).sum(),
-            max_nmin: None,
-            space: None,
-            gen1: None,
-            gen5: None,
-            gen10: None,
-            // Peak over cones: the widest cone dominates the working
-            // set; `tiled` as soon as any cone had to tile.
-            kernel: Some(if reports.iter().any(|r| r.kernel == "tiled") {
-                "tiled"
-            } else {
-                "full"
-            }),
-            peak_bytes: reports.iter().map(|r| r.data_plane_bytes).max(),
-        })
+        row.targets = universe.targets().len();
+        row.bridges = universe.bridges().len();
+        row.cov1 = Some(wc.coverage_percent(1));
+        row.cov10 = Some(wc.coverage_percent(10));
+        row.tail11 = wc.tail_count(11);
+        row.max_nmin = wc.max_finite();
+        row.space = Some(universe.space().num_patterns());
+        row.gen1 = gen_size(1);
+        row.gen5 = gen_size(5);
+        row.gen10 = gen_size(10);
+        row.kernel = Some(universe.simulator().kernel_mode());
+        row.peak_bytes = Some(universe.simulator().data_plane_bytes());
+        return Ok(row);
     }
-}
-
-/// Analyses one sequential corpus circuit through its two-frame
-/// transition expansion. Structure columns (inputs/outputs/gates)
-/// describe the *sequential* circuit; analysis columns (targets,
-/// coverage, space, gen sizes) come from the expanded universe.
-fn seq_corpus_row(
-    seq: &SeqNetlist,
-    max_inputs: usize,
-    knobs: Knobs,
-    provider: &dyn UniverseProvider,
-) -> Result<CorpusRow, String> {
-    let expanded =
-        expand_stored(seq, FaultModel::Transition, provider.store()).map_err(|e| e.to_string())?;
-    let mut row = CorpusRow::empty(seq.name(), "seq");
-    row.inputs = seq.num_true_inputs();
-    row.outputs = seq.num_true_outputs();
-    row.gates = seq.core().num_gates();
-    if expanded.netlist().num_inputs() > max_inputs {
+    let Circuit::Comb(netlist) = &circuit else {
         // The broadside pattern space (PIs + state bits) is too wide
         // for exhaustive analysis; classify without fabricating
         // coverage, like `skipped`.
         return Ok(row);
-    }
-    let universe = provider.universe_explicit(
-        expanded.netlist(),
-        &expanded.explicit_targets(),
-        knobs.universe_options(),
-    )?;
-    let wc = WorstCaseAnalysis::compute_stored(&universe, knobs.threads, provider.store());
-    let gen_size = |n: u32| {
-        let options = GenOptions {
-            n,
-            compact: true,
-            seed: None,
-            threads: knobs.threads,
-            mem_budget: knobs.mem_budget,
-        };
-        Some(provider.generated(&universe, &options).len())
     };
-    row.targets = universe.targets().len();
-    row.bridges = universe.bridges().len();
-    row.cov1 = Some(wc.coverage_percent(1));
-    row.cov10 = Some(wc.coverage_percent(10));
-    row.tail11 = wc.tail_count(11);
-    row.max_nmin = wc.max_finite();
-    row.space = Some(universe.space().num_patterns());
-    row.gen1 = gen_size(1);
-    row.gen5 = gen_size(5);
-    row.gen10 = gen_size(10);
-    row.kernel = Some(universe.simulator().kernel_mode());
-    row.peak_bytes = Some(universe.simulator().data_plane_bytes());
+    let reports = analyze_output_cones_budget(
+        netlist,
+        max_inputs,
+        knobs.threads,
+        knobs.mem_budget,
+        provider.store(),
+    )
+    .map_err(|e| e.to_string())?;
+    if reports.is_empty() {
+        // Every cone was wider than max_inputs: nothing was simulated,
+        // so report no coverage rather than a vacuous 100%.
+        row.mode = "skipped";
+        return Ok(row);
+    }
+    let total_bridges: usize = reports.iter().map(|r| r.num_bridges).sum();
+    // Bridge-weighted coverage across cones (conservative: each cone
+    // only observes its own output).
+    let weighted = |n: u32| -> f64 {
+        if total_bridges == 0 {
+            return 100.0;
+        }
+        reports
+            .iter()
+            .map(|r| {
+                let cov = r
+                    .coverage
+                    .iter()
+                    .find(|(t, _)| *t == n)
+                    .map_or(100.0, |(_, pct)| *pct);
+                cov * r.num_bridges as f64
+            })
+            .sum::<f64>()
+            / total_bridges as f64
+    };
+    row.mode = "cones";
+    row.targets = reports.iter().map(|r| r.num_targets).sum();
+    row.bridges = total_bridges;
+    row.cov1 = Some(weighted(1));
+    row.cov10 = Some(weighted(10));
+    row.tail11 = reports.iter().map(|r| r.tail_11).sum();
+    // Peak over cones: the widest cone dominates the working set;
+    // `tiled` as soon as any cone had to tile.
+    row.kernel = Some(if reports.iter().any(|r| r.kernel == "tiled") {
+        "tiled"
+    } else {
+        "full"
+    });
+    row.peak_bytes = reports.iter().map(|r| r.data_plane_bytes).max();
     Ok(row)
 }
 
@@ -829,20 +808,20 @@ mod tests {
     #[test]
     fn stats_and_worst_render_the_paper_numbers() {
         let provider = StoreProvider::new(None);
-        let netlist = figure1::netlist();
-        let stats = render_stats(&netlist, Knobs::default(), &provider).unwrap();
+        let circuit = Circuit::Comb(figure1::netlist());
+        let stats = render_stats(&circuit, Knobs::default(), &provider).unwrap();
         assert!(stats.contains("figure1: 4 inputs, 3 outputs, 3 gates, 11 lines"));
         assert!(stats.contains("kernel: "));
-        let worst = render_worst(&netlist, 100, Knobs::default(), &provider).unwrap();
+        let worst = render_worst(&circuit, 100, Knobs::default(), &provider).unwrap();
         assert!(worst.contains("40.00% at n=1"), "{worst}");
     }
 
     #[test]
     fn gen_rejects_n_zero_and_renders_a_set() {
         let provider = StoreProvider::new(None);
-        let netlist = figure1::netlist();
-        assert!(render_gen(&netlist, 0, false, None, Knobs::default(), &provider).is_err());
-        let out = render_gen(&netlist, 1, true, None, Knobs::default(), &provider).unwrap();
+        let circuit = Circuit::Comb(figure1::netlist());
+        assert!(render_gen(&circuit, 0, false, None, Knobs::default(), &provider).is_err());
+        let out = render_gen(&circuit, 1, true, None, Knobs::default(), &provider).unwrap();
         assert!(out.contains("generated 1-detection set:"), "{out}");
         assert!(out.contains(", compacted"), "{out}");
     }

@@ -19,7 +19,7 @@
 
 use crate::engine::Engine;
 use crate::protocol::{self, ChaosCommand, ErrorReply, Request};
-use crate::render;
+use crate::render::{self, Circuit};
 use crate::signal;
 use ndetect_obs::trace;
 use ndetect_seq::FaultModel;
@@ -517,21 +517,9 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// A request's circuit, resolved against the combinational suite first
-/// and the sequential registry second.
-enum Resolved {
-    /// A combinational suite circuit, analysed directly.
-    Comb(ndetect_netlist::Netlist),
-    /// A sequential circuit, analysed via two-frame broadside
-    /// expansion under the given fault model.
-    Seq(ndetect_netlist::SeqNetlist, FaultModel),
-}
-
-/// Resolves a circuit name (and optional `model=` token): combinational
-/// names keep their existing behaviour (`model=` is rejected there —
-/// it selects a sequential fault model); unknown combinational names
-/// fall through to the sequential registry.
-fn resolve_circuit(circuit: &str, model: Option<&str>) -> Result<Resolved, String> {
+/// Resolves a request's circuit name and optional `model=` token (see
+/// [`Circuit::resolve`]).
+fn resolve(circuit: &str, model: Option<&str>) -> Result<Circuit, String> {
     let model = model
         .map(|m| {
             FaultModel::parse(m).ok_or_else(|| {
@@ -539,22 +527,7 @@ fn resolve_circuit(circuit: &str, model: Option<&str>) -> Result<Resolved, Strin
             })
         })
         .transpose()?;
-    match ndetect_circuits::build(circuit) {
-        Ok(netlist) => {
-            if model.is_some() {
-                return Err(format!(
-                    "`model=` selects a sequential fault model; `{circuit}` is combinational"
-                ));
-            }
-            Ok(Resolved::Comb(netlist))
-        }
-        Err(comb_error) => match ndetect_circuits::build_seq(circuit) {
-            Ok(seq) => Ok(Resolved::Seq(seq, model.unwrap_or_default())),
-            // Unknown everywhere: report the suite error (the message
-            // clients already match on).
-            Err(_) => Err(comb_error.to_string()),
-        },
-    }
+    Circuit::resolve(circuit, model, false, "`model=`")
 }
 
 /// Executes a parsed analysis request against the engine, returning the
@@ -570,23 +543,22 @@ fn execute_request(
             circuit,
             model,
             knobs,
-        } => match resolve_circuit(circuit, model.as_deref())? {
-            Resolved::Comb(netlist) => render::render_stats(&netlist, *knobs, engine.as_ref()),
-            Resolved::Seq(seq, fm) => render::render_seq_stats(&seq, fm, *knobs, engine.as_ref()),
-        },
+        } => render::render_stats(
+            &resolve(circuit, model.as_deref())?,
+            *knobs,
+            engine.as_ref(),
+        ),
         Request::Worst {
             circuit,
             floor,
             model,
             knobs,
-        } => match resolve_circuit(circuit, model.as_deref())? {
-            Resolved::Comb(netlist) => {
-                render::render_worst(&netlist, *floor, *knobs, engine.as_ref())
-            }
-            Resolved::Seq(seq, fm) => {
-                render::render_seq_worst(&seq, fm, *floor, *knobs, engine.as_ref())
-            }
-        },
+        } => render::render_worst(
+            &resolve(circuit, model.as_deref())?,
+            *floor,
+            *knobs,
+            engine.as_ref(),
+        ),
         Request::Gen {
             circuit,
             n,
@@ -594,14 +566,14 @@ fn execute_request(
             seed,
             model,
             knobs,
-        } => match resolve_circuit(circuit, model.as_deref())? {
-            Resolved::Comb(netlist) => {
-                render::render_gen(&netlist, *n, *compact, *seed, *knobs, engine.as_ref())
-            }
-            Resolved::Seq(seq, fm) => {
-                render::render_seq_gen(&seq, fm, *n, *compact, *seed, *knobs, engine.as_ref())
-            }
-        },
+        } => render::render_gen(
+            &resolve(circuit, model.as_deref())?,
+            *n,
+            *compact,
+            *seed,
+            *knobs,
+            engine.as_ref(),
+        ),
         Request::Corpus { request, knobs } => {
             // Stream the body incrementally: each row goes out as a
             // `row` frame the moment its analysis completes; the
@@ -742,9 +714,11 @@ mod tests {
     #[test]
     fn seq_circuits_resolve_with_byte_identical_replies() {
         let (addr, engine, shutdown, handle) = start(ServerConfig::default());
-        let expected = render::render_seq_worst(
-            &ndetect_circuits::build_seq("s27").unwrap(),
-            FaultModel::Transition,
+        let expected = render::render_worst(
+            &Circuit::Seq(
+                ndetect_circuits::build_seq("s27").unwrap(),
+                FaultModel::Transition,
+            ),
             100,
             crate::render::Knobs::default(),
             &crate::render::StoreProvider::new(None),

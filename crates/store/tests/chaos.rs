@@ -3,31 +3,45 @@
 //! error — never a panic, never a corrupt published entry.
 //!
 //! Failpoints are process-global, so these tests live in their own
-//! integration-test binary and serialize on one lock; every test arms
-//! sites through a guard that disarms on drop (panic included).
+//! integration-test binary and every test holds one lock for its whole
+//! body — unarmed store I/O included; sites are armed through a guard
+//! that disarms on drop (panic included).
 
 use ndetect_store::{decode_from_slice, encode_to_vec, ArtifactKey, Store};
 use std::fs;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Serializes the tests in this binary and guarantees a disarmed
-/// registry on entry and exit.
-struct ChaosGuard(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+/// Exclusive use of the failpoint registry for one test body; the
+/// registry is disarmed on entry and on exit.
+struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>);
 
-impl Drop for ChaosGuard {
+impl Drop for Serial {
     fn drop(&mut self) {
         ndetect_chaos::disarm_all();
     }
 }
 
-fn armed(config: &str) -> ChaosGuard {
+/// Takes the lock; call first, before any store I/O.
+fn serialize() -> Serial {
     static LOCK: Mutex<()> = Mutex::new(());
-    let guard = LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    ndetect_chaos::disarm_all();
+    Serial(guard)
+}
+
+/// Failpoints armed until dropped; arming requires holding [`Serial`].
+struct Armed;
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        ndetect_chaos::disarm_all();
+    }
+}
+
+fn arm(_serial: &Serial, config: &str) -> Armed {
     ndetect_chaos::disarm_all();
     ndetect_chaos::apply_config(config).expect("valid failpoint config");
-    ChaosGuard(guard)
+    Armed
 }
 
 fn temp_store(tag: &str) -> Store {
@@ -39,8 +53,9 @@ fn temp_store(tag: &str) -> Store {
 
 #[test]
 fn every_save_failpoint_degrades_to_uncached_not_failed() {
+    let serial = serialize();
     for site in ["store.save.create", "store.save.write", "store.save.rename"] {
-        let _chaos = armed(&format!("{site}=return-err"));
+        let _chaos = arm(&serial, &format!("{site}=return-err"));
         let store = temp_store("save-sites");
         let key = ArtifactKey(0xfa11);
 
@@ -66,7 +81,8 @@ fn every_save_failpoint_degrades_to_uncached_not_failed() {
 
 #[test]
 fn torn_write_never_publishes_and_tmp_is_swept() {
-    let _chaos = armed("store.save.write=torn-write");
+    let serial = serialize();
+    let _chaos = arm(&serial, "store.save.write=torn-write");
     let store = temp_store("torn");
     let key = ArtifactKey(0x7041);
     store.save_best_effort(key, 1, &vec![0xabu8; 4096]);
@@ -90,6 +106,7 @@ fn torn_write_never_publishes_and_tmp_is_swept() {
 
 #[test]
 fn load_and_decode_failpoints_force_clean_misses() {
+    let serial = serialize();
     let store = temp_store("load-miss");
     let key = ArtifactKey(0x10ad);
     store
@@ -97,7 +114,7 @@ fn load_and_decode_failpoints_force_clean_misses() {
         .unwrap();
 
     {
-        let _chaos = armed("store.load=return-err");
+        let _chaos = arm(&serial, "store.load=return-err");
         assert!(
             store.load(key, 1).is_none(),
             "injected read error is a miss"
@@ -105,7 +122,7 @@ fn load_and_decode_failpoints_force_clean_misses() {
         assert_eq!(store.session_misses(), 1);
     }
     {
-        let _chaos = armed("store.codec.decode=return-err");
+        let _chaos = arm(&serial, "store.codec.decode=return-err");
         let bytes = store.load(key, 1).expect("load itself is unfailed");
         let decoded: Result<Vec<u64>, _> = decode_from_slice(&bytes);
         assert!(decoded
@@ -121,7 +138,8 @@ fn load_and_decode_failpoints_force_clean_misses() {
 
 #[test]
 fn failed_flat_migration_still_returns_the_hit() {
-    let _chaos = armed("store.migrate=return-err");
+    let serial = serialize();
+    let _chaos = arm(&serial, "store.migrate=return-err");
     let store = temp_store("migrate");
     let key = ArtifactKey(0xaa00_0000_0000_0077);
     // Plant a legacy flat entry: save sharded, move the file up.
@@ -147,11 +165,12 @@ fn failed_flat_migration_still_returns_the_hit() {
 
 #[test]
 fn counter_flush_failure_is_absorbed_and_counted() {
+    let serial = serialize();
     let store = temp_store("flush");
     let key = ArtifactKey(0xf1u64);
     store.save(key, 1, b"x").unwrap();
     {
-        let _chaos = armed("store.counters.flush=return-err");
+        let _chaos = arm(&serial, "store.counters.flush=return-err");
         store.flush_counters(); // absorbs the injected failure
         assert!(
             !store.root().join("counters.bin").exists(),
@@ -169,7 +188,8 @@ fn counter_flush_failure_is_absorbed_and_counted() {
 
 #[test]
 fn one_shot_trigger_fails_exactly_one_save() {
-    let _chaos = armed("store.save.rename=one-shot@2:return-err");
+    let serial = serialize();
+    let _chaos = arm(&serial, "store.save.rename=one-shot@2:return-err");
     let store = temp_store("oneshot");
     store.save_best_effort(ArtifactKey(1), 1, b"a"); // hit 1: passes
     store.save_best_effort(ArtifactKey(2), 1, b"b"); // hit 2: fails

@@ -5,7 +5,8 @@
 //! dependency, so losing the write plane can only cost speed.
 //!
 //! Failpoints are process-global; this file is its own test binary and
-//! serializes its tests on one lock.
+//! every test holds one lock for its whole body — its unfailed runs
+//! included — so no test ever observes another test's armed sites.
 
 use ndetect::analysis::WorstCaseAnalysis;
 use ndetect::circuits::figure1;
@@ -13,7 +14,7 @@ use ndetect::faults::{FaultUniverse, UniverseOptions};
 use ndetect::gen::{generate_stored, GenOptions};
 use ndetect::store::Store;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Every failpoint on the store's write plane.
 const ALL_WRITES_FAIL: &str = "store.save.create=always:return-err;\
@@ -21,22 +22,37 @@ const ALL_WRITES_FAIL: &str = "store.save.create=always:return-err;\
                                store.save.rename=always:return-err;\
                                store.counters.flush=always:return-err";
 
-struct ChaosGuard(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+/// Exclusive use of the failpoint registry for one test body; the
+/// registry is disarmed on entry and on exit (panic included).
+struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>);
 
-impl Drop for ChaosGuard {
+impl Drop for Serial {
     fn drop(&mut self) {
         ndetect::chaos::disarm_all();
     }
 }
 
-fn armed(config: &str) -> ChaosGuard {
+/// Takes the lock; call first, before any store I/O.
+fn serialize() -> Serial {
     static LOCK: Mutex<()> = Mutex::new(());
-    let guard = LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    ndetect::chaos::disarm_all();
+    Serial(guard)
+}
+
+/// Failpoints armed until dropped; arming requires holding [`Serial`].
+struct Armed;
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        ndetect::chaos::disarm_all();
+    }
+}
+
+fn arm(_serial: &Serial, config: &str) -> Armed {
     ndetect::chaos::disarm_all();
     ndetect::chaos::apply_config(config).expect("valid failpoint config");
-    ChaosGuard(guard)
+    Armed
 }
 
 fn temp_store(tag: &str) -> (Store, PathBuf) {
@@ -47,6 +63,7 @@ fn temp_store(tag: &str) -> (Store, PathBuf) {
 
 #[test]
 fn a_dead_write_plane_changes_no_analysis_result() {
+    let serial = serialize();
     // Unfailed reference run, fully through the store.
     let circuit = figure1::netlist();
     let options = UniverseOptions::default();
@@ -63,7 +80,7 @@ fn a_dead_write_plane_changes_no_analysis_result() {
     assert_eq!(clean_store.session_write_errors(), 0);
 
     // Same pipeline with the entire write plane failing.
-    let _chaos = armed(ALL_WRITES_FAIL);
+    let _chaos = arm(&serial, ALL_WRITES_FAIL);
     let (store, dir) = temp_store("degraded");
     let universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
     let wc = WorstCaseAnalysis::compute_stored(&universe, 0, Some(&store));
@@ -90,12 +107,13 @@ fn a_dead_write_plane_changes_no_analysis_result() {
 
 #[test]
 fn a_degraded_run_warms_up_once_the_plane_heals() {
+    let serial = serialize();
     // Cold run under failing writes caches nothing...
     let circuit = figure1::netlist();
     let options = UniverseOptions::default();
     let (store, dir) = temp_store("heal");
     {
-        let _chaos = armed(ALL_WRITES_FAIL);
+        let _chaos = arm(&serial, ALL_WRITES_FAIL);
         let universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
         let _ = WorstCaseAnalysis::compute_stored(&universe, 0, Some(&store));
         assert!(store.session_write_errors() > 0);
