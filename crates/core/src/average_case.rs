@@ -1,10 +1,11 @@
 //! The average-case analysis: Procedure 1 and detection-probability
 //! estimation.
 
-use crate::definition::{counts_as_new_detection, Def2Cache, DetectionDefinition};
+use crate::definition::{Def2Queries, DetectionDefinition};
 use crate::error::CoreError;
 use crate::test_set::TestSet;
-use ndetect_faults::FaultUniverse;
+use ndetect_faults::{FaultUniverse, StuckAtFault, ThreevalKernel};
+use ndetect_obs::trace;
 use ndetect_store::{
     decode_from_slice, encode_to_vec, ArtifactKey, ArtifactKind, CodecError, Decode, Decoder,
     Encode, Encoder, Fnv64, Store, CODEC_VERSION,
@@ -61,6 +62,22 @@ impl Procedure1Config {
         Ok(())
     }
 
+    /// The `average.procedure1` span of one Procedure-1 call.
+    fn span(&self) -> trace::Span {
+        let mut span = trace::span("average.procedure1");
+        span.field("definition", definition_tag(self.definition));
+        span.field("k", self.num_test_sets);
+        span.field("nmax", self.nmax);
+        span
+    }
+
+    /// The Definition-2 kernel for `universe`, built once per call and
+    /// shared by every worker; `None` under Definition 1.
+    fn def2_kernel<'a>(&self, universe: &'a FaultUniverse) -> Option<ThreevalKernel<'a>> {
+        (self.definition == DetectionDefinition::SufficientlyDifferent)
+            .then(|| ThreevalKernel::new(universe.netlist(), universe.simulator()))
+    }
+
     fn rng_for_set(&self, k: usize) -> StdRng {
         // Distinct, well-separated stream per test set.
         let stream = (k as u64)
@@ -101,41 +118,51 @@ impl TargetIndex {
 struct RunState {
     set: TestSet,
     def1_counts: Vec<u32>,
-    /// Definition-2 greedy state (`counted[f]` = tests counted as
-    /// different detections, in insertion order).
+    /// Definition-2 greedy state (`counted[f]` = positions in `set` of
+    /// the tests counted as different detections, in insertion order).
     def2_counted: Vec<Vec<u32>>,
-    def2_counts: Vec<u32>,
-    use_def2: bool,
+    /// Per target: 1 + the length of `counted[f]` at the last candidate
+    /// scan that accepted nothing (0: none yet). While `counted[f]` keeps
+    /// that length, a rescan must reject every candidate again — each
+    /// verdict depends only on the candidate and `counted[f]`, and the
+    /// candidates only shrink as the set grows — so only its draws are
+    /// replayed.
+    def2_exhausted: Vec<u32>,
+    /// Reused buffer: the vectors of one `counted[f]`.
+    def2_tests: Vec<u32>,
 }
 
 /// Runs Procedure 1 for one test set `k`, invoking `on_add(n, t)` for
 /// every test added during iteration `n` and `on_iteration(n, set)` after
-/// each iteration completes.
+/// each iteration completes. `def2` answers the Definition-2 queries and
+/// is `Some` exactly when the configuration asks for Definition 2.
 fn run_single(
     universe: &FaultUniverse,
     index: &TargetIndex,
     config: &Procedure1Config,
     k: usize,
-    cache: &mut Def2Cache,
+    mut def2: Option<&mut Def2Queries<'_, '_>>,
     mut on_add: impl FnMut(u32, u32),
     mut on_iteration: impl FnMut(u32, &TestSet),
 ) {
-    let netlist = universe.netlist();
     let space = universe.space();
     let num_targets = universe.targets().len();
     let mut rng = config.rng_for_set(k);
-    let use_def2 = config.definition == DetectionDefinition::SufficientlyDifferent;
 
     let mut state = RunState {
         set: TestSet::new(space.num_patterns()),
         def1_counts: vec![0; num_targets],
-        def2_counted: if use_def2 {
+        def2_counted: if def2.is_some() {
             vec![Vec::new(); num_targets]
         } else {
             Vec::new()
         },
-        def2_counts: vec![0; num_targets],
-        use_def2,
+        def2_exhausted: if def2.is_some() {
+            vec![0; num_targets]
+        } else {
+            Vec::new()
+        },
+        def2_tests: Vec::new(),
     };
 
     for n in 1..=config.nmax {
@@ -144,8 +171,21 @@ fn run_single(
             if t_f.is_empty() {
                 continue; // undetectable target: never adds tests
             }
-            let chosen: Option<u32> = if use_def2 {
-                if state.def2_counts[fi] >= n {
+            let chosen: Option<u32> = if let Some(queries) = def2.as_deref_mut() {
+                let counted = &state.def2_counted[fi];
+                let scan = counted.len() as u32 + 1;
+                let exhausted = state.def2_exhausted[fi] == scan;
+                if counted.len() >= n as usize {
+                    None
+                } else if exhausted && state.def1_counts[fi] >= n {
+                    // Every candidate would be rejected and no fallback
+                    // is due: only the scan's draws are made. The
+                    // candidates are `T(f) \ set`, and `def1_counts[f]`
+                    // counts `T(f) ∩ set`.
+                    let len = t_f.len() - state.def1_counts[fi] as usize;
+                    for i in 0..len {
+                        rng.gen_range(i..len);
+                    }
                     None
                 } else {
                     // Candidates not yet in the set, in random order; the
@@ -156,25 +196,20 @@ fn run_single(
                         .copied()
                         .filter(|&v| !state.set.contains(v as usize))
                         .collect();
-                    let mut pick = None;
-                    // Incremental Fisher-Yates: draw without full shuffle.
-                    let len = candidates.len();
-                    for i in 0..len {
-                        let j = rng.gen_range(i..len);
-                        candidates.swap(i, j);
-                        let t = candidates[i];
-                        if counts_as_new_detection(
-                            netlist,
-                            space,
-                            fi,
-                            universe.targets()[fi],
-                            &state.def2_counted[fi],
-                            t,
-                            cache,
-                        ) {
-                            pick = Some(t);
-                            break;
-                        }
+                    let tests = state.set.vectors();
+                    state.def2_tests.clear();
+                    state
+                        .def2_tests
+                        .extend(counted.iter().map(|&p| tests[p as usize]));
+                    let pick = draw_first_new_detection(
+                        (!exhausted).then_some(queries),
+                        universe.targets()[fi],
+                        &state.def2_tests,
+                        &mut candidates,
+                        &mut rng,
+                    );
+                    if pick.is_none() {
+                        state.def2_exhausted[fi] = scan;
                     }
                     match pick {
                         Some(t) => Some(t),
@@ -191,12 +226,60 @@ fn run_single(
             };
 
             if let Some(t) = chosen {
-                add_test(universe, index, &mut state, t, cache);
+                add_test(universe, index, &mut state, t, def2.as_deref_mut());
                 on_add(n, t);
             }
         }
         on_iteration(n, &state.set);
     }
+}
+
+/// Draws `candidates` in incremental Fisher–Yates order (draw `i` swaps
+/// a uniform pick of `i..len` into place `i`) until one counts as a new
+/// Definition-2 detection of `fault`, and returns it; `None` leaves
+/// every draw made and `candidates` fully shuffled. Without `queries`
+/// every candidate is already known to be rejected, and only the draws
+/// are made.
+///
+/// Draws are judged a kernel pass at a time: the RNG is cloned before a
+/// batch is drawn, and when the batch holds a winner the clone is
+/// restored and the draws are replayed up to and including the winner.
+/// The RNG therefore ends in exactly the state that judging one draw at
+/// a time would leave, and every later draw is unchanged.
+fn draw_first_new_detection(
+    queries: Option<&mut Def2Queries<'_, '_>>,
+    fault: StuckAtFault,
+    counted: &[u32],
+    candidates: &mut [u32],
+    rng: &mut StdRng,
+) -> Option<u32> {
+    let len = candidates.len();
+    let Some(queries) = queries else {
+        for i in 0..len {
+            let j = rng.gen_range(i..len);
+            candidates.swap(i, j);
+        }
+        return None;
+    };
+    let per_pass = Def2Queries::candidates_per_pass(counted);
+    let mut start = 0;
+    while start < len {
+        let end = (start + per_pass).min(len);
+        let before = rng.clone();
+        for i in start..end {
+            let j = rng.gen_range(i..len);
+            candidates.swap(i, j);
+        }
+        if let Some(hit) = queries.first_new_detection(fault, counted, &candidates[start..end]) {
+            *rng = before;
+            for i in start..=start + hit {
+                rng.gen_range(i..len);
+            }
+            return Some(candidates[start + hit]);
+        }
+        start = end;
+    }
+    None
 }
 
 /// Uniformly samples an element of `t_f` not yet in `set` (rejection
@@ -227,29 +310,31 @@ fn add_test(
     index: &TargetIndex,
     state: &mut RunState,
     t: u32,
-    cache: &mut Def2Cache,
+    def2: Option<&mut Def2Queries<'_, '_>>,
 ) {
     if !state.set.push(t as usize) {
         return;
     }
-    let netlist = universe.netlist();
-    let space = universe.space();
-    for &f in &index.targets_of_vector[t as usize] {
-        let fi = f as usize;
-        state.def1_counts[fi] += 1;
-        if state.use_def2
-            && counts_as_new_detection(
-                netlist,
-                space,
-                fi,
-                universe.targets()[fi],
-                &state.def2_counted[fi],
-                t,
-                cache,
-            )
-        {
-            state.def2_counted[fi].push(t);
-            state.def2_counts[fi] += 1;
+    let targets = &index.targets_of_vector[t as usize];
+    for &f in targets {
+        state.def1_counts[f as usize] += 1;
+    }
+    let Some(queries) = def2 else {
+        return;
+    };
+    // `t` is a new Definition-2 detection of each target it detects
+    // that finds it similar to none of its counted tests.
+    let position = state.set.len() - 1;
+    let similar = queries.similar_targets(
+        universe.targets(),
+        targets,
+        &state.def2_counted,
+        &state.set.vectors()[..position],
+        t,
+    );
+    for (&f, &is_similar) in targets.iter().zip(similar) {
+        if !is_similar {
+            state.def2_counted[f as usize].push(position as u32);
         }
     }
 }
@@ -275,19 +360,24 @@ pub fn construct_test_set_series(
     config: &Procedure1Config,
 ) -> Result<TestSetSeries, CoreError> {
     config.validate()?;
+    let _span = config.span();
     let index = TargetIndex::build(universe);
     let mut sets: Vec<Vec<TestSet>> = vec![Vec::new(); config.nmax as usize];
-    let mut cache = Def2Cache::new();
+    let kernel = config.def2_kernel(universe);
+    let mut def2 = kernel.as_ref().map(Def2Queries::new);
     for k in 0..config.num_test_sets {
         run_single(
             universe,
             &index,
             config,
             k,
-            &mut cache,
+            def2.as_mut(),
             |_, _| {},
             |n, set| sets[(n - 1) as usize].push(set.clone()),
         );
+    }
+    if let Some(queries) = &mut def2 {
+        queries.publish_counts();
     }
     Ok(TestSetSeries { sets })
 }
@@ -396,6 +486,7 @@ pub fn estimate_detection_probabilities(
             });
         }
     }
+    let _span = config.span();
     let index = TargetIndex::build(universe);
 
     // Inverted index over the tracked bridges: which tracked positions
@@ -412,16 +503,18 @@ pub fn estimate_detection_probabilities(
     let num_threads = ndetect_sim::parallel::resolve_threads(config.threads)
         .min(config.num_test_sets)
         .max(1);
+    let kernel = config.def2_kernel(universe);
 
     let totals: Vec<Vec<u32>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(num_threads);
         for w in 0..num_threads {
             let index = &index;
             let tracked_of_vector = &tracked_of_vector;
+            let kernel = kernel.as_ref();
             let num_tracked = tracked.len();
             handles.push(scope.spawn(move || {
                 let mut local: Vec<Vec<u32>> = vec![vec![0; num_tracked]; nmax];
-                let mut cache = Def2Cache::new();
+                let mut def2 = kernel.map(Def2Queries::new);
                 let mut detected_at: Vec<u32> = vec![0; num_tracked];
                 for k in (w..config.num_test_sets).step_by(num_threads) {
                     detected_at.fill(0);
@@ -430,7 +523,7 @@ pub fn estimate_detection_probabilities(
                         index,
                         config,
                         k,
-                        &mut cache,
+                        def2.as_mut(),
                         |n, t| {
                             for &pos in &tracked_of_vector[t as usize] {
                                 let p = pos as usize;
@@ -448,6 +541,9 @@ pub fn estimate_detection_probabilities(
                             }
                         }
                     }
+                }
+                if let Some(queries) = &mut def2 {
+                    queries.publish_counts();
                 }
                 local
             }));

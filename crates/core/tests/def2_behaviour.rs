@@ -101,3 +101,24 @@ fn definitions_coincide_at_n_equals_one() {
     .unwrap();
     assert_eq!(d1.sets[0], d2.sets[0]);
 }
+
+/// A Definition-2 run publishes its kernel work to the global metrics
+/// registry: at least one pass, and at least one lane per pass.
+#[test]
+fn definition2_publishes_kernel_counters() {
+    let u = FaultUniverse::build(&figure1::netlist()).unwrap();
+    let global = |name| ndetect_obs::global().counter(name).get();
+    let batches = global("def2_kernel_batches_total");
+    let lanes = global("def2_kernel_lanes_total");
+    let config = Procedure1Config {
+        nmax: 4,
+        num_test_sets: 4,
+        definition: DetectionDefinition::SufficientlyDifferent,
+        ..Default::default()
+    };
+    construct_test_set_series(&u, &config).unwrap();
+    let batches = global("def2_kernel_batches_total") - batches;
+    let lanes = global("def2_kernel_lanes_total") - lanes;
+    assert!(batches > 0, "no kernel pass was counted");
+    assert!(lanes >= batches, "{lanes} lanes over {batches} passes");
+}

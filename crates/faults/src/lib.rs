@@ -51,6 +51,7 @@ pub mod collapse;
 mod error;
 mod sim;
 mod stuck_at;
+mod threeval;
 mod universe;
 
 pub use artifact::{explicit_universe_key, universe_key, KIND_UNIVERSE};
@@ -59,6 +60,7 @@ pub use bridging::{
 };
 pub use collapse::CollapsedFaults;
 pub use error::FaultError;
-pub use sim::{threeval_detects_stuck, FaultSimulator};
+pub use sim::FaultSimulator;
 pub use stuck_at::{all_stuck_at_faults, input_line_of_pin, StuckAtFault};
+pub use threeval::{threeval_detects_stuck, ThreevalKernel, ThreevalScratch};
 pub use universe::{ExplicitTargets, FaultUniverse, UniverseOptions};

@@ -34,8 +34,8 @@ use ndetect_obs::trace;
 use ndetect_sim::rows as rowops;
 use ndetect_sim::rows::{zeroed_words, RowMatrix};
 use ndetect_sim::{
-    eval_gate_trit, eval_gate_word_pin_override, eval_trits_all, parallel, GoodValues,
-    MemoryBudget, PartialVector, PatternSpace, SimScratch, Trit, VectorSet,
+    eval_gate_word_pin_override, parallel, GoodValues, MemoryBudget, PatternSpace, SimScratch,
+    VectorSet,
 };
 use std::ops::Range;
 
@@ -558,7 +558,7 @@ impl FaultSimulator {
     /// Node `i`'s strictly-downstream gates in topological order (CSR
     /// row of the cone arena).
     #[inline]
-    fn cone(&self, node: NodeId) -> &[NodeId] {
+    pub(crate) fn cone(&self, node: NodeId) -> &[NodeId] {
         let lo = self.cone_offsets[node.index()] as usize;
         let hi = self.cone_offsets[node.index() + 1] as usize;
         &self.cone_gates[lo..hi]
@@ -1290,116 +1290,14 @@ impl FaultSimulator {
     }
 }
 
-/// Three-valued detection check for the paper's Definition 2.
-///
-/// Returns `true` iff the partially specified vector `tij` **definitely**
-/// detects the stuck-at fault: some primary output has definite and
-/// different values in the fault-free and faulty circuits under
-/// pessimistic three-valued simulation.
-///
-/// ```
-/// use ndetect_netlist::NetlistBuilder;
-/// use ndetect_sim::{PartialVector, PatternSpace};
-/// use ndetect_faults::{threeval_detects_stuck, StuckAtFault};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = NetlistBuilder::new("and2");
-/// let a = b.input("a");
-/// let c = b.input("c");
-/// let g = b.and("g", &[a, c])?;
-/// b.output(g);
-/// let n = b.build()?;
-/// let space = PatternSpace::new(2)?;
-/// let fault = StuckAtFault::new(n.lines().stem(g), false);
-/// // 1X does not definitely detect g/0; 11 does.
-/// let t_1x = PartialVector::common_bits(&space, 2, 3);
-/// assert!(!threeval_detects_stuck(&n, fault, &t_1x));
-/// let t_11 = PartialVector::from_vector(&space, 3);
-/// assert!(threeval_detects_stuck(&n, fault, &t_11));
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn threeval_detects_stuck(
-    netlist: &Netlist,
-    fault: StuckAtFault,
-    vector: &PartialVector,
-) -> bool {
-    let inputs = vector.trits();
-    let good = eval_trits_all(netlist, &inputs);
-
-    let line = netlist.lines().line(fault.line);
-    let fault_trit = Trit::from_bool(fault.value);
-
-    // Faulty levelized pass with injection (cold three-valued path,
-    // not a word buffer).
-    #[allow(clippy::disallowed_methods)]
-    let mut faulty = vec![Trit::X; netlist.num_nodes()];
-    for (&pi, &v) in netlist.inputs().iter().zip(&inputs) {
-        faulty[pi.index()] = v;
-    }
-    let (stem_forced, pin_override): (Option<NodeId>, Option<(NodeId, usize)>) = match *line.kind()
-    {
-        LineKind::Stem { node } => (Some(node), None),
-        LineKind::Branch { node: _, sink } => match sink {
-            Sink::GatePin { gate, pin } => (None, Some((gate, pin))),
-            Sink::OutputSlot { .. } => (None, None),
-        },
-    };
-    if let Some(node) = stem_forced {
-        faulty[node.index()] = fault_trit;
-    }
-    let mut operands: Vec<Trit> = Vec::new();
-    for &id in netlist.topo_order() {
-        let node = netlist.node(id);
-        if node.kind() == GateKind::Input {
-            continue;
-        }
-        if stem_forced == Some(id) {
-            continue; // value forced, no evaluation
-        }
-        operands.clear();
-        operands.extend(node.fanins().iter().map(|f| faulty[f.index()]));
-        if let Some((gate, pin)) = pin_override {
-            if gate == id {
-                operands[pin] = fault_trit;
-            }
-        }
-        faulty[id.index()] = eval_gate_trit(node.kind(), &operands);
-    }
-    if let Some(node) = stem_forced {
-        faulty[node.index()] = fault_trit;
-    }
-
-    // Observation: definite difference on some output slot.
-    let po_branch_slot = match *line.kind() {
-        LineKind::Branch {
-            sink: Sink::OutputSlot { slot },
-            ..
-        } => Some(slot),
-        _ => None,
-    };
-    for (slot, &po) in netlist.outputs().iter().enumerate() {
-        let g = good[po.index()];
-        let f = if po_branch_slot == Some(slot) {
-            fault_trit
-        } else {
-            faulty[po.index()]
-        };
-        if let (Some(gb), Some(fb)) = (g.to_option(), f.to_option()) {
-            if gb != fb {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::stuck_at::all_stuck_at_faults;
+    use crate::threeval::threeval_detects_stuck;
     use ndetect_netlist::NetlistBuilder;
+    use ndetect_sim::PartialVector;
 
     fn figure1() -> Netlist {
         let mut b = NetlistBuilder::new("figure1");
