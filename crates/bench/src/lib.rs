@@ -162,49 +162,9 @@ pub fn open_store(args: &Args) -> Option<Store> {
     })
 }
 
-/// Builds a suite circuit and its fault universe with the auto thread
-/// count, printing timing to stderr.
-///
-/// # Panics
-///
-/// Panics if the circuit name is unknown or the universe cannot be
-/// built (suite circuits always can).
-#[must_use]
-pub fn build_universe(name: &str) -> (Netlist, FaultUniverse) {
-    build_universe_with(name, 0)
-}
-
-/// Builds a suite circuit and its fault universe with up to `threads`
-/// workers (`0` = auto), printing timing to stderr.
-///
-/// # Panics
-///
-/// Panics if the circuit name is unknown or the universe cannot be
-/// built (suite circuits always can).
-#[must_use]
-pub fn build_universe_with(name: &str, threads: usize) -> (Netlist, FaultUniverse) {
-    build_universe_stored(name, threads, None)
-}
-
-/// Builds a suite circuit and its fault universe with up to `threads`
-/// workers (`0` = auto), consulting the on-disk artifact store first
-/// when one is given; prints timing to stderr.
-///
-/// # Panics
-///
-/// Panics if the circuit name is unknown or the universe cannot be
-/// built (suite circuits always can).
-#[must_use]
-pub fn build_universe_stored(
-    name: &str,
-    threads: usize,
-    store: Option<&Store>,
-) -> (Netlist, FaultUniverse) {
-    build_universe_options(name, UniverseOptions::with_threads(threads), store)
-}
-
-/// The fully general timed build: a suite circuit's universe under
-/// explicit options, consulting the store first when one is given.
+/// Builds a suite circuit's fault universe under explicit options,
+/// consulting the on-disk artifact store first when one is given;
+/// prints timing to stderr.
 ///
 /// # Panics
 ///
@@ -242,13 +202,6 @@ pub struct UniverseCache {
 }
 
 impl UniverseCache {
-    /// Creates an empty cache whose universes are built with up to
-    /// `threads` workers (`0` = auto).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        Self::with_budget(threads, MemoryBudget::Auto)
-    }
-
     /// Creates an empty cache building with up to `threads` workers and
     /// the given per-worker kernel memory budget.
     #[must_use]
@@ -260,20 +213,11 @@ impl UniverseCache {
         }
     }
 
-    /// The universe (and netlist) for `name` under the default options,
-    /// building it on first use and reusing it afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit name is unknown or the universe cannot be
-    /// built (suite circuits always can).
-    pub fn get(&mut self, name: &str) -> &(Netlist, FaultUniverse) {
-        self.get_stored(name, None)
-    }
-
-    /// Like [`UniverseCache::get`], but a miss in the in-process map
-    /// falls through to the on-disk store before building from scratch
-    /// (and populates the store after a build).
+    /// The universe (and netlist) for `name` under the default options
+    /// and this cache's thread count and budget, building it on first
+    /// use and reusing it afterwards. A miss in the in-process map falls
+    /// through to the on-disk store before building from scratch (and
+    /// populates the store after a build).
     ///
     /// # Panics
     ///
@@ -369,7 +313,7 @@ mod tests {
 
     #[test]
     fn universe_cache_distinguishes_options() {
-        let mut cache = UniverseCache::new(1);
+        let mut cache = UniverseCache::with_budget(1, MemoryBudget::Auto);
         let defaults = UniverseOptions::with_threads(1);
         let no_bridges = UniverseOptions {
             include_bridges: false,

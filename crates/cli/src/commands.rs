@@ -13,6 +13,7 @@ use ndetect_serve::render::{Circuit, CorpusRequest, Knobs, StoreProvider, Univer
 use ndetect_sim::MemoryBudget;
 use ndetect_store::Store;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 mod serve_cmd;
 
@@ -165,44 +166,26 @@ fn dispatch_command(command: &str, rest: &[&String]) -> Result<(), String> {
         }
         "average" => {
             let k = flag_value(&rest, "--k")?.unwrap_or(200);
-            let nmax = flag_value(&rest, "--nmax")?.unwrap_or(10);
-            let def = flag_value(&rest, "--def")?.unwrap_or(1) as u32;
-            let tail = flag_value(&rest, "--tail")?.unwrap_or(nmax + 1);
+            let nmax: u32 = flag_value(&rest, "--nmax")?.unwrap_or(10);
+            let def = flag_value(&rest, "--def")?.unwrap_or(1);
+            let tail = flag_value(&rest, "--tail")?.unwrap_or(nmax.saturating_add(1));
             let store = open_store_degraded(&rest)?;
             let (name, circuit) = any_circuit(&rest)?;
             let universe = circuit.universe(knobs, &StoreProvider::new(store.as_ref()))?;
-            average(
-                name,
-                &universe,
-                k,
-                nmax as u32,
-                def,
-                tail as u32,
-                knobs,
-                store.as_ref(),
-            )
+            average(name, &universe, k, nmax, def, tail, knobs, store.as_ref())
         }
         "greedy" => {
             let n_det = flag_value(&rest, "--n")?.unwrap_or(10);
             let store = open_store_degraded(&rest)?;
-            with_circuit(&rest, |_, n| {
-                greedy(&n, n_det as u32, knobs, store.as_ref())
-            })
+            with_circuit(&rest, |_, n| greedy(&n, n_det, knobs, store.as_ref()))
         }
         "gen" => {
             let n_det = flag_value(&rest, "--n")?.unwrap_or(10);
             let do_compact = flag_present(&rest, "--compact");
-            let seed = flag_value(&rest, "--seed")?.map(|s| s as u64);
+            let seed = flag_value(&rest, "--seed")?;
             let store = open_store_degraded(&rest)?;
             let circuit = any_circuit(&rest)?.1;
-            gen_set(
-                &circuit,
-                n_det as u32,
-                do_compact,
-                seed,
-                knobs,
-                store.as_ref(),
-            )
+            gen_set(&circuit, n_det, do_compact, seed, knobs, store.as_ref())
         }
         "synth" => with_circuit(&rest, |_, n| {
             print!("{}", bench_format::write(&n));
@@ -246,7 +229,9 @@ fn trace_cmd(rest: &[&String]) -> Result<(), String> {
     }
 }
 
-fn flag_value(rest: &[&String], flag: &str) -> Result<Option<usize>, String> {
+/// The value of `flag` parsed straight into the caller's type, so an
+/// out-of-range number is a `bad value` error rather than a wrapped cast.
+fn flag_value<T: FromStr>(rest: &[&String], flag: &str) -> Result<Option<T>, String> {
     match flag_str(rest, flag)? {
         None => Ok(None),
         Some(v) => v
@@ -479,6 +464,9 @@ fn average(
 }
 
 fn greedy(netlist: &Netlist, n: u32, knobs: Knobs, store: Option<&Store>) -> Result<(), String> {
+    if n == 0 {
+        return Err("--n must be at least 1".into());
+    }
     let universe = StoreProvider::new(store).universe(netlist, None, knobs.universe_options())?;
     let set = greedy_n_detection(&universe, n);
     println!(
@@ -661,7 +649,7 @@ fn cache(rest: &[&String], store: Option<&Store>) -> Result<(), String> {
         }
         "gc" => {
             let max_bytes = flag_value(rest, "--max-bytes")?.unwrap_or(256 * 1024 * 1024);
-            let report = store.gc(max_bytes as u64).map_err(|e| e.to_string())?;
+            let report = store.gc(max_bytes).map_err(|e| e.to_string())?;
             println!(
                 "gc to {max_bytes} bytes: evicted {} entries ({} bytes), kept {} ({} bytes)",
                 report.evicted, report.freed_bytes, report.kept, report.kept_bytes
@@ -762,9 +750,49 @@ mod tests {
         // Boolean flags must not swallow the circuit name.
         assert!(run(&["gen", "--compact", "figure1"]).is_ok());
         assert!(run(&["gen", "figure1", "--n", "0"]).is_err());
+        assert!(run(&["greedy", "figure1", "--n", "0"]).is_err());
         assert!(run(&["gen", "figure1", "--n", "zebra"]).is_err());
         assert!(run(&["gen", "figure1", "--seed"]).is_err());
         assert!(run(&["gen"]).is_err());
+    }
+
+    #[test]
+    fn u32_flags_reject_out_of_range_values() {
+        // 2^32 + 1 is out of range for u32 and must not wrap to 1.
+        assert!(run(&["gen", "figure1", "--n", "4294967297"]).is_err());
+        assert!(run(&["greedy", "figure1", "--n", "4294967297"]).is_err());
+        for flag in ["--nmax", "--def", "--tail"] {
+            assert!(
+                run(&["average", "figure1", flag, "4294967297"]).is_err(),
+                "{flag}"
+            );
+        }
+        assert_eq!(
+            flag_value::<u32>(&[&"--n".to_string(), &"4294967297".to_string()], "--n"),
+            Err("bad value for --n: `4294967297`".to_string())
+        );
+    }
+
+    #[test]
+    fn u64_flags_reject_out_of_range_values() {
+        assert!(run(&[
+            "gen",
+            "figure1",
+            "--n",
+            "2",
+            "--seed",
+            "18446744073709551615"
+        ])
+        .is_ok());
+        assert!(run(&["gen", "figure1", "--seed", "18446744073709551616"]).is_err());
+        assert!(run(&["gen", "figure1", "--seed", "-1"]).is_err());
+    }
+
+    #[test]
+    fn usize_flags_reject_out_of_range_values() {
+        assert!(run(&["worst", "figure1", "--floor", "18446744073709551616"]).is_err());
+        assert!(run(&["worst", "figure1", "--threads", "-1"]).is_err());
+        assert!(run(&["cones", "c17", "--max-inputs", "18446744073709551616"]).is_err());
     }
 
     #[test]

@@ -119,8 +119,39 @@ impl BridgeModel {
 }
 
 /// Enumerates all **non-feedback** bridging faults of the given model
-/// between outputs of multi-input gates (see [`enumerate_four_way`] for
-/// the paper's default model and the ordering guarantees).
+/// between outputs of multi-input gates.
+///
+/// Pairs with a structural path between the two gates (in either
+/// direction) are *feedback* bridges and are skipped, following the
+/// paper's "detectable non-feedback four-way bridging faults between
+/// outputs of multi-input gates" (detectability is established later by
+/// simulation — see [`crate::FaultUniverse`]).
+///
+/// Faults are emitted in a deterministic order: pairs `(x, y)` with
+/// `x` earlier in the topological stem list, each contributing its
+/// [`BridgeModel::pair_faults`] — for the paper's
+/// [`BridgeModel::FourWay`] model `(x,0,y,1)`, `(x,1,y,0)`, `(y,0,x,1)`,
+/// `(y,1,x,0)`, which makes the paper's example fault `g0 = (9,0,10,1)`
+/// fault number 0 of Figure 1.
+///
+/// ```
+/// use ndetect_netlist::{NetlistBuilder, ReachabilityMatrix};
+/// use ndetect_faults::{enumerate_bridges, BridgeModel};
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = NetlistBuilder::new("t");
+/// let a = b.input("a");
+/// let c = b.input("c");
+/// let g1 = b.and("g1", &[a, c])?;
+/// let g2 = b.or("g2", &[a, c])?;
+/// b.output(g1);
+/// b.output(g2);
+/// let n = b.build()?;
+/// let reach = ReachabilityMatrix::compute(&n);
+/// // One independent pair of multi-input gates -> 4 faults.
+/// assert_eq!(enumerate_bridges(&n, &reach, BridgeModel::FourWay).len(), 4);
+/// # Ok(())
+/// # }
+/// ```
 #[must_use]
 pub fn enumerate_bridges(
     netlist: &Netlist,
@@ -162,43 +193,6 @@ pub fn enumerate_bridges_among(
     faults
 }
 
-/// Enumerates all **non-feedback** four-way bridging faults between
-/// outputs of multi-input gates.
-///
-/// Pairs with a structural path between the two gates (in either
-/// direction) are *feedback* bridges and are skipped, following the
-/// paper's "detectable non-feedback four-way bridging faults between
-/// outputs of multi-input gates" (detectability is established later by
-/// simulation — see [`crate::FaultUniverse`]).
-///
-/// Faults are emitted in a deterministic order: pairs `(x, y)` with
-/// `x` earlier in the topological stem list, each contributing
-/// `(x,0,y,1)`, `(x,1,y,0)`, `(y,0,x,1)`, `(y,1,x,0)` — which makes the
-/// paper's example fault `g0 = (9,0,10,1)` fault number 0 of Figure 1.
-///
-/// ```
-/// use ndetect_netlist::{NetlistBuilder, ReachabilityMatrix};
-/// use ndetect_faults::enumerate_four_way;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = NetlistBuilder::new("t");
-/// let a = b.input("a");
-/// let c = b.input("c");
-/// let g1 = b.and("g1", &[a, c])?;
-/// let g2 = b.or("g2", &[a, c])?;
-/// b.output(g1);
-/// b.output(g2);
-/// let n = b.build()?;
-/// let reach = ReachabilityMatrix::compute(&n);
-/// // One independent pair of multi-input gates -> 4 faults.
-/// assert_eq!(enumerate_four_way(&n, &reach).len(), 4);
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn enumerate_four_way(netlist: &Netlist, reach: &ReachabilityMatrix) -> Vec<BridgingFault> {
-    enumerate_bridges(netlist, reach, BridgeModel::FourWay)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +217,7 @@ mod tests {
     fn figure1_enumeration_order_and_count() {
         let n = figure1();
         let reach = ReachabilityMatrix::compute(&n);
-        let faults = enumerate_four_way(&n, &reach);
+        let faults = enumerate_bridges(&n, &reach, BridgeModel::FourWay);
         // Three independent pairs {9,10},{9,11},{10,11} x 4 = 12 faults.
         assert_eq!(faults.len(), 12);
         // g0 of the paper is the very first fault.
@@ -244,7 +238,7 @@ mod tests {
         b.output(g2);
         let n = b.build().unwrap();
         let reach = ReachabilityMatrix::compute(&n);
-        assert!(enumerate_four_way(&n, &reach).is_empty());
+        assert!(enumerate_bridges(&n, &reach, BridgeModel::FourWay).is_empty());
     }
 
     #[test]
@@ -258,7 +252,7 @@ mod tests {
         b.output(g2);
         let n = b.build().unwrap();
         let reach = ReachabilityMatrix::compute(&n);
-        assert!(enumerate_four_way(&n, &reach).is_empty());
+        assert!(enumerate_bridges(&n, &reach, BridgeModel::FourWay).is_empty());
     }
 
     #[test]

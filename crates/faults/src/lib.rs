@@ -55,9 +55,7 @@ mod threeval;
 mod universe;
 
 pub use artifact::{explicit_universe_key, universe_key, KIND_UNIVERSE};
-pub use bridging::{
-    enumerate_bridges, enumerate_bridges_among, enumerate_four_way, BridgeModel, BridgingFault,
-};
+pub use bridging::{enumerate_bridges, enumerate_bridges_among, BridgeModel, BridgingFault};
 pub use collapse::CollapsedFaults;
 pub use error::FaultError;
 pub use sim::FaultSimulator;

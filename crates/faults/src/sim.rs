@@ -1,5 +1,4 @@
-//! Fault injection over bit-parallel exhaustive simulation, serial or
-//! sharded over 64-vector pattern blocks.
+//! Fault injection over bit-parallel exhaustive simulation.
 //!
 //! The default kernel is **event-driven**: instead of re-evaluating the
 //! entire fanout cone of the fault site on every block, it walks the
@@ -22,7 +21,7 @@
 //! kernel survives as
 //! [`FaultSimulator::detection_set_stuck_full_cone`] /
 //! [`FaultSimulator::detection_set_bridge_full_cone`] — the
-//! differential-testing oracle and benchmark baseline.
+//! differential-testing oracle.
 
 // Hot module: every word buffer comes from the `rows` data plane.
 #![deny(clippy::disallowed_methods)]
@@ -34,8 +33,7 @@ use ndetect_obs::trace;
 use ndetect_sim::rows as rowops;
 use ndetect_sim::rows::{zeroed_words, RowMatrix};
 use ndetect_sim::{
-    eval_gate_word_pin_override, parallel, GoodValues, MemoryBudget, PatternSpace, SimScratch,
-    VectorSet,
+    eval_gate_word_pin_override, GoodValues, MemoryBudget, PatternSpace, SimScratch, VectorSet,
 };
 use std::ops::Range;
 
@@ -296,22 +294,7 @@ impl FaultSimulator {
     /// Returns [`ndetect_sim::SimError`] if the circuit has too many inputs
     /// for exhaustive simulation.
     pub fn new(netlist: &Netlist) -> Result<Self, ndetect_sim::SimError> {
-        Self::with_threads(netlist, 1)
-    }
-
-    /// Prepares a simulator, computing the fault-free values with up to
-    /// `num_threads` workers (the blocks of [`GoodValues`] are sharded;
-    /// the result is identical for every thread count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ndetect_sim::SimError`] if the circuit has too many inputs
-    /// for exhaustive simulation.
-    pub fn with_threads(
-        netlist: &Netlist,
-        num_threads: usize,
-    ) -> Result<Self, ndetect_sim::SimError> {
-        Self::with_budget(netlist, num_threads, MemoryBudget::Auto)
+        Self::with_budget(netlist, 1, MemoryBudget::Auto)
     }
 
     /// Prepares a simulator under an explicit [`MemoryBudget`]: a
@@ -339,8 +322,9 @@ impl FaultSimulator {
     }
 
     /// Prepares a simulator around **precomputed** fault-free values
-    /// (e.g. deserialized from the on-disk artifact store), skipping the
-    /// good-value simulation pass. Only the cheap structural tables
+    /// (e.g. deserialized from the on-disk artifact store) under an
+    /// explicit [`MemoryBudget`] (see [`Self::with_budget`]), skipping
+    /// the good-value simulation pass. Only the cheap structural tables
     /// (reachability, the transpose, the cone arena) are recomputed.
     ///
     /// # Errors
@@ -353,25 +337,6 @@ impl FaultSimulator {
     /// Panics if `good`'s dimensions do not match the netlist and its
     /// pattern space — callers deserializing untrusted bytes must
     /// validate the shape first.
-    pub fn with_good_values(
-        netlist: &Netlist,
-        good: GoodValues,
-    ) -> Result<Self, ndetect_sim::SimError> {
-        Self::with_good_values_budget(netlist, good, MemoryBudget::Auto)
-    }
-
-    /// [`Self::with_good_values`] under an explicit [`MemoryBudget`]
-    /// (see [`Self::with_budget`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ndetect_sim::SimError`] if the circuit has too many
-    /// inputs for exhaustive simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `good`'s dimensions do not match the netlist and its
-    /// pattern space.
     pub fn with_good_values_budget(
         netlist: &Netlist,
         good: GoodValues,
@@ -973,7 +938,7 @@ impl FaultSimulator {
     /// `netlist` is not the netlist this simulator was built for.
     #[must_use]
     pub fn detection_set_stuck(&self, netlist: &Netlist, fault: StuckAtFault) -> VectorSet {
-        self.detection_set_stuck_threaded(netlist, fault, 1)
+        self.detection_set_stuck_with(netlist, fault, &mut self.new_scratch())
     }
 
     /// Computes `T(f)` reusing a caller-owned [`SimScratch`] — the
@@ -997,33 +962,6 @@ impl FaultSimulator {
         VectorSet::from_block_words(self.space.num_patterns(), words)
     }
 
-    /// Computes `T(f)` with the 64-vector pattern blocks sharded over up
-    /// to `num_threads` workers, each owning its own [`SimScratch`].
-    /// Every block is simulated independently, so the result is
-    /// bit-identical to the serial computation for any thread count;
-    /// worthwhile on wide pattern spaces (many blocks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault's line does not belong to `netlist`, or if
-    /// `netlist` is not the netlist this simulator was built for.
-    #[must_use]
-    pub fn detection_set_stuck_threaded(
-        &self,
-        netlist: &Netlist,
-        fault: StuckAtFault,
-        num_threads: usize,
-    ) -> VectorSet {
-        assert_eq!(netlist.num_nodes(), self.num_nodes, "wrong netlist");
-        let words = parallel::run_tiled_with(
-            num_threads,
-            self.num_blocks,
-            || self.new_scratch(),
-            |scratch, blocks| self.stuck_words(netlist, fault, blocks, scratch),
-        );
-        VectorSet::from_block_words(self.space.num_patterns(), words)
-    }
-
     /// Computes `T(g)` for a four-way bridging fault.
     ///
     /// # Panics
@@ -1032,7 +970,7 @@ impl FaultSimulator {
     /// `netlist` is not the netlist this simulator was built for.
     #[must_use]
     pub fn detection_set_bridge(&self, netlist: &Netlist, fault: &BridgingFault) -> VectorSet {
-        self.detection_set_bridge_threaded(netlist, fault, 1)
+        self.detection_set_bridge_with(netlist, fault, &mut self.new_scratch())
     }
 
     /// Computes `T(g)` reusing a caller-owned [`SimScratch`] (see
@@ -1058,40 +996,10 @@ impl FaultSimulator {
         let words = self.bridge_words(netlist, fault, 0..self.num_blocks, scratch);
         VectorSet::from_block_words(self.space.num_patterns(), words)
     }
-
-    /// Computes `T(g)` with the pattern blocks sharded over up to
-    /// `num_threads` workers (see
-    /// [`Self::detection_set_stuck_threaded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault's lines are not stems of `netlist`, or if
-    /// `netlist` is not the netlist this simulator was built for.
-    #[must_use]
-    pub fn detection_set_bridge_threaded(
-        &self,
-        netlist: &Netlist,
-        fault: &BridgingFault,
-        num_threads: usize,
-    ) -> VectorSet {
-        assert_eq!(netlist.num_nodes(), self.num_nodes, "wrong netlist");
-        debug_assert!(
-            netlist.lines().line(fault.victim).kind().is_stem()
-                && netlist.lines().line(fault.aggressor).kind().is_stem(),
-            "bridging faults live on stems"
-        );
-        let words = parallel::run_tiled_with(
-            num_threads,
-            self.num_blocks,
-            || self.new_scratch(),
-            |scratch, blocks| self.bridge_words(netlist, fault, blocks, scratch),
-        );
-        VectorSet::from_block_words(self.space.num_patterns(), words)
-    }
 }
 
 /// The reference full-cone kernel, kept as the differential-testing
-/// oracle and benchmark baseline.
+/// oracle.
 impl FaultSimulator {
     /// The primary-output nodes observing `root` or its cone.
     fn observable_outputs_of(&self, netlist: &Netlist, root: NodeId) -> Vec<NodeId> {

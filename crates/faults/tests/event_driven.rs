@@ -1,8 +1,7 @@
 //! Differential suite for the event-driven fault-propagation kernel:
 //! on randomly generated netlists, every stuck-at and bridging
-//! detection set produced by the frontier-pruned kernel (serial, with a
-//! shared scratch, and block-sharded over 4 workers) must be
-//! bit-identical to the reference full-cone kernel — plus directed
+//! detection set produced by the frontier-pruned kernel (with a shared
+//! scratch) must be bit-identical to the reference full-cone kernel — plus directed
 //! regression tests that the frontier early exit never skips an
 //! observable primary output.
 
@@ -13,8 +12,7 @@ use ndetect_netlist::{Netlist, NetlistBuilder};
 use ndetect_testutil::arb_netlist_sized;
 use proptest::prelude::*;
 
-/// Asserts event-driven == full-cone for every fault of a netlist, at
-/// 1 and 4 worker threads.
+/// Asserts event-driven == full-cone for every fault of a netlist.
 fn assert_kernels_agree(netlist: &Netlist) -> Result<(), TestCaseError> {
     let sim = FaultSimulator::new(netlist).expect("fits exhaustive sim");
     let mut scratch = sim.new_scratch();
@@ -24,14 +22,7 @@ fn assert_kernels_agree(netlist: &Netlist) -> Result<(), TestCaseError> {
         prop_assert_eq!(
             event.to_vec(),
             oracle.to_vec(),
-            "stuck fault {} (serial)",
-            fault.name(netlist)
-        );
-        let sharded = sim.detection_set_stuck_threaded(netlist, fault, 4);
-        prop_assert_eq!(
-            sharded.to_vec(),
-            oracle.to_vec(),
-            "stuck fault {} (4 workers)",
+            "stuck fault {}",
             fault.name(netlist)
         );
     }
@@ -41,14 +32,7 @@ fn assert_kernels_agree(netlist: &Netlist) -> Result<(), TestCaseError> {
         prop_assert_eq!(
             event.to_vec(),
             oracle.to_vec(),
-            "bridge {} (serial)",
-            bridge.name(netlist)
-        );
-        let sharded = sim.detection_set_bridge_threaded(netlist, &bridge, 4);
-        prop_assert_eq!(
-            sharded.to_vec(),
-            oracle.to_vec(),
-            "bridge {} (4 workers)",
+            "bridge {}",
             bridge.name(netlist)
         );
     }
@@ -66,8 +50,7 @@ proptest! {
     }
 
     /// Wider spaces (up to 4 blocks): exercises the active-block-range
-    /// tightening and the 4-worker block sharding with a real tile
-    /// split.
+    /// tightening.
     #[test]
     fn kernels_agree_on_multi_block_netlists(netlist in arb_netlist_sized(8, 16)) {
         assert_kernels_agree(&netlist)?;
@@ -146,7 +129,7 @@ fn xor_reconvergence_cancels_without_losing_detection() {
 
 /// A fault active only in the final 64-vector block: the active-range
 /// tightening must not clip the detection words of untouched blocks
-/// incorrectly, serial or sharded.
+/// incorrectly.
 #[test]
 fn fault_active_only_in_last_block() {
     let mut b = NetlistBuilder::new("tail_active");
@@ -160,14 +143,6 @@ fn fault_active_only_in_last_block() {
     // g stuck-at-0: activation (good = 1) exists only in the last block.
     let g_sa0 = StuckAtFault::new(n.lines().stem(g), false);
     assert_eq!(sim.detection_set_stuck(&n, g_sa0).to_vec(), vec![255]);
-    for threads in [1, 2, 4] {
-        assert_eq!(
-            sim.detection_set_stuck_threaded(&n, g_sa0, threads)
-                .to_vec(),
-            vec![255],
-            "threads={threads}"
-        );
-    }
     // g stuck-at-1: active everywhere except vector 255.
     let g_sa1 = StuckAtFault::new(n.lines().stem(g), true);
     assert_eq!(

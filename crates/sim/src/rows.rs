@@ -21,9 +21,9 @@
 //! * The chunked ops ([`and_into`], [`or_diff_into`], [`popcount`], …) —
 //!   an explicit SIMD inner layer: fixed-lane (`u64x4`/`u64x8`) chunks
 //!   that LLVM lowers to vector instructions, with a scalar tail and a
-//!   scalar (`LANES = 1`) fallback. The `*_lanes` variants expose the
-//!   lane count for the `rows` micro-benchmark; production entry points
-//!   are pinned to [`LANES`].
+//!   scalar (`LANES = 1`) fallback. The private `*_lanes` bodies take
+//!   the lane count as a const parameter; the public entry points are
+//!   pinned to [`LANES`].
 //!
 //! When `std::simd` stabilizes, the `*_lanes` bodies are the single
 //! place to swap `[u64; L]` chunks for `Simd<u64, L>` — see
@@ -359,8 +359,8 @@ impl RowMatrix {
 // LLVM lowers to `L`-lane vector instructions (u64x4 ≈ AVX2, u64x8 ≈
 // AVX-512 / unrolled AVX2), then finishes the remainder with a scalar
 // tail. `L = 1` is the pure-scalar fallback. Production entry points pin
-// `L =` [`LANES`]; the `*_lanes` variants exist for the `rows`
-// micro-benchmark and for targets where a narrower width wins.
+// `L =` [`LANES`]; the in-module tests check `L` ∈ {1, 4, 8} against a
+// scalar reference.
 // ---------------------------------------------------------------------
 
 /// `dst[i] = f(dst[i], src[i])` in `L`-lane chunks.
@@ -382,32 +382,32 @@ fn zip_with_lanes<const L: usize>(dst: &mut [u64], src: &[u64], f: impl Fn(u64, 
 
 /// Lane-parameterized `dst &= src`.
 #[inline]
-pub fn and_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
+fn and_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
     zip_with_lanes::<L>(dst, src, |a, b| a & b);
 }
 
 /// Lane-parameterized `dst |= src`.
 #[inline]
-pub fn or_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
+fn or_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
     zip_with_lanes::<L>(dst, src, |a, b| a | b);
 }
 
 /// Lane-parameterized `dst ^= src`.
 #[inline]
-pub fn xor_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
+fn xor_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
     zip_with_lanes::<L>(dst, src, |a, b| a ^ b);
 }
 
 /// Lane-parameterized `dst &= !src`.
 #[inline]
-pub fn andnot_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
+fn andnot_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
     zip_with_lanes::<L>(dst, src, |a, b| a & !b);
 }
 
 /// Lane-parameterized popcount over a word row.
 #[inline]
 #[must_use]
-pub fn popcount_lanes<const L: usize>(row: &[u64]) -> u64 {
+fn popcount_lanes<const L: usize>(row: &[u64]) -> u64 {
     let split = row.len() - row.len() % L;
     let (head, tail) = row.split_at(split);
     let mut lanes = [0u64; L];
@@ -427,7 +427,7 @@ pub fn popcount_lanes<const L: usize>(row: &[u64]) -> u64 {
 /// loop).
 #[inline]
 #[must_use]
-pub fn and_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
+fn and_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
     assert_eq!(a.len(), b.len(), "row length mismatch");
     let split = a.len() - a.len() % L;
     let mut lanes = [0u64; L];
@@ -447,7 +447,7 @@ pub fn and_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
 /// `|T(f) \ chosen|`).
 #[inline]
 #[must_use]
-pub fn andnot_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
+fn andnot_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
     assert_eq!(a.len(), b.len(), "row length mismatch");
     let split = a.len() - a.len() % L;
     let mut lanes = [0u64; L];
@@ -466,7 +466,7 @@ pub fn andnot_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
 /// Lane-parameterized bitwise select: `dst[i] = (a[i] & mask[i]) |
 /// (b[i] & !mask[i])` — take `a` where the mask is set, else `b`.
 #[inline]
-pub fn select_into_lanes<const L: usize>(dst: &mut [u64], mask: &[u64], a: &[u64], b: &[u64]) {
+fn select_into_lanes<const L: usize>(dst: &mut [u64], mask: &[u64], a: &[u64], b: &[u64]) {
     assert!(
         dst.len() == mask.len() && dst.len() == a.len() && dst.len() == b.len(),
         "row length mismatch"
@@ -497,7 +497,7 @@ pub fn select_into_lanes<const L: usize>(dst: &mut [u64], mask: &[u64], a: &[u64
 /// returning the OR-fold of all differences (zero ⇒ the rows are
 /// identical) — the detection/frontier primitive of the event kernel.
 #[inline]
-pub fn or_diff_into_lanes<const L: usize>(det: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
+fn or_diff_into_lanes<const L: usize>(det: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
     assert!(
         det.len() == a.len() && det.len() == b.len(),
         "row length mismatch"
@@ -529,7 +529,7 @@ pub fn or_diff_into_lanes<const L: usize>(det: &mut [u64], a: &[u64], b: &[u64])
 /// "did anything change" probe).
 #[inline]
 #[must_use]
-pub fn diff_any_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
+fn diff_any_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
     assert_eq!(a.len(), b.len(), "row length mismatch");
     let split = a.len() - a.len() % L;
     let mut lanes = [0u64; L];
@@ -600,7 +600,8 @@ pub fn andnot_popcount(a: &[u64], b: &[u64]) -> u64 {
     andnot_popcount_lanes::<LANES>(a, b)
 }
 
-/// Bitwise select (see [`select_into_lanes`]).
+/// Bitwise select: `dst[i] = (a[i] & mask[i]) | (b[i] & !mask[i])` —
+/// take `a` where the mask is set, else `b`.
 #[inline]
 pub fn select_into(dst: &mut [u64], mask: &[u64], a: &[u64], b: &[u64]) {
     select_into_lanes::<LANES>(dst, mask, a, b);
@@ -665,7 +666,7 @@ pub fn fold_into(dst: &mut [u64], src: &[u64], f: impl Fn(u64, u64) -> u64) {
 /// Hook for `std::simd`: when portable SIMD stabilizes, implementing
 /// this module (behind a `portable_simd` cfg) with `Simd<u64, L>`
 /// loads/stores replaces the `[u64; L]` chunk bodies above without
-/// touching any call site — the lane-parameterized API is already the
+/// touching any call site — the lane-parameterized bodies are already the
 /// shape `Simd` wants.
 #[cfg(portable_simd)]
 pub mod portable_simd {
