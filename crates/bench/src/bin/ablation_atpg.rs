@@ -9,8 +9,8 @@
 //! Usage: `ablation_atpg [--circuits a,b,c] [--nmax 10] [--k 100]`.
 
 use ndetect_bench::{build_universe_options, open_store, selected_circuits, Args};
-use ndetect_core::atpg::{bridge_coverage, greedy_n_detection};
 use ndetect_core::{construct_test_set_series, Procedure1Config};
+use ndetect_gen::{generate, GenOptions};
 
 fn main() {
     let args = Args::parse();
@@ -40,11 +40,19 @@ fn main() {
             if n > nmax {
                 continue;
             }
-            let greedy = greedy_n_detection(&universe, n);
-            let gcov = bridge_coverage(&universe, &greedy);
+            let greedy = generate(
+                &universe,
+                &GenOptions {
+                    n,
+                    threads,
+                    mem_budget: args.mem_budget(),
+                    ..GenOptions::default()
+                },
+            );
+            let gcov = universe.bridging_coverage(greedy.as_vector_set()).1;
             let rcov: f64 = series.sets[(n - 1) as usize]
                 .iter()
-                .map(|s| bridge_coverage(&universe, s))
+                .map(|s| universe.bridging_coverage(s.as_vector_set()).1)
                 .sum::<f64>()
                 / k as f64;
             println!(

@@ -38,5 +38,5 @@ pub mod generators;
 mod registry;
 pub mod sequential;
 
-pub use registry::{build, spec, suite, CircuitSource, CircuitSpec};
+pub use registry::{build, spec, suite, CircuitError, CircuitSource, CircuitSpec};
 pub use sequential::{build_seq, seq_suite};

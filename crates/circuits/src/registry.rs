@@ -5,6 +5,8 @@ use ndetect_fsm::{
     random_fsm, synthesize, Fsm, FsmError, RandomFsmConfig, StateEncoding, SynthOptions,
 };
 use ndetect_netlist::Netlist;
+use std::error::Error;
+use std::fmt;
 
 /// How a suite circuit is produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,28 +185,65 @@ pub fn spec(name: &str) -> Option<CircuitSpec> {
     suite().into_iter().find(|s| s.name == name)
 }
 
+/// Why [`build`] or [`crate::build_seq`] returned no circuit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum CircuitError {
+    /// No registry entry has this name.
+    Unknown {
+        /// The name that was looked up.
+        name: String,
+    },
+    /// Synthesizing a suite machine failed.
+    Synthesis(FsmError),
+}
+
+impl fmt::Display for CircuitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CircuitError::Unknown { name } => write!(f, "unknown circuit `{name}`"),
+            CircuitError::Synthesis(e) => e.fmt(f),
+        }
+    }
+}
+
+impl Error for CircuitError {}
+
 /// Builds a circuit by name: any suite entry, plus the specials
 /// `"figure1"` (the paper's example) and `"c17"` (ISCAS-85).
 ///
 /// # Errors
 ///
-/// Returns [`FsmError::Inconsistent`] for unknown names, or a synthesis
-/// error for suite entries.
-pub fn build(name: &str) -> Result<Netlist, FsmError> {
+/// Returns [`CircuitError::Unknown`] for unknown names, or
+/// [`CircuitError::Synthesis`] if a suite entry fails to synthesize.
+pub fn build(name: &str) -> Result<Netlist, CircuitError> {
     match name {
         "figure1" => Ok(crate::figure1::netlist()),
         "c17" => Ok(crate::extra::c17()),
         _ => spec(name)
-            .ok_or_else(|| FsmError::Inconsistent {
-                message: format!("unknown circuit `{name}`"),
+            .ok_or_else(|| CircuitError::Unknown {
+                name: name.to_string(),
             })?
-            .build(),
+            .build()
+            .map_err(CircuitError::Synthesis),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unknown_names_are_reported_as_such() {
+        let err = build("nosuch").unwrap_err();
+        assert_eq!(
+            err,
+            CircuitError::Unknown {
+                name: "nosuch".into()
+            }
+        );
+        assert_eq!(err.to_string(), "unknown circuit `nosuch`");
+    }
 
     #[test]
     fn suite_has_35_unique_entries() {

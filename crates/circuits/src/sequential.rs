@@ -7,7 +7,7 @@
 //! [`bench_format::parse_seq`], so they exercise the same frontend as
 //! user-supplied files.
 
-use ndetect_fsm::FsmError;
+use crate::CircuitError;
 use ndetect_netlist::{bench_format, SeqNetlist};
 use std::fmt::Write as _;
 
@@ -102,15 +102,15 @@ pub fn seq_suite() -> Vec<&'static str> {
 ///
 /// # Errors
 ///
-/// Returns [`FsmError::Inconsistent`] for unknown names, mirroring
+/// Returns [`CircuitError::Unknown`] for unknown names, like
 /// [`crate::build`].
-pub fn build_seq(name: &str) -> Result<SeqNetlist, FsmError> {
+pub fn build_seq(name: &str) -> Result<SeqNetlist, CircuitError> {
     match name {
         "s27" => Ok(s27()),
         "shift4" => Ok(shift_register("shift4", 4)),
         "cnt3" => Ok(counter("cnt3", 3)),
-        _ => Err(FsmError::Inconsistent {
-            message: format!("unknown sequential circuit `{name}`"),
+        _ => Err(CircuitError::Unknown {
+            name: name.to_string(),
         }),
     }
 }

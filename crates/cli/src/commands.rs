@@ -1,15 +1,15 @@
 //! Subcommand implementations for `ndet`.
 
-use ndetect_core::atpg::{bridge_coverage, greedy_n_detection};
 use ndetect_core::partition::analyze_output_cones_budget;
 use ndetect_core::{
     estimate_detection_probabilities_stored, DetectionDefinition, Procedure1Config,
     WorstCaseAnalysis,
 };
 use ndetect_faults::FaultUniverse;
+use ndetect_gen::GenOptions;
 use ndetect_netlist::{bench_format, Netlist};
 use ndetect_seq::FaultModel;
-use ndetect_serve::render::{Circuit, CorpusRequest, Knobs, StoreProvider, UniverseProvider};
+use ndetect_serve::render::{self, Circuit, CorpusRequest, Knobs, StoreProvider, UniverseProvider};
 use ndetect_sim::MemoryBudget;
 use ndetect_store::Store;
 use std::path::PathBuf;
@@ -336,7 +336,7 @@ fn with_circuit(
     f: impl FnOnce(&str, Netlist) -> Result<(), String>,
 ) -> Result<(), String> {
     let name = circuit_name(rest)?;
-    let netlist = ndetect_circuits::build(name).map_err(|e| e.to_string())?;
+    let netlist = ndetect_circuits::build(name).map_err(|e| render::circuit_error(&e))?;
     f(name, netlist)
 }
 
@@ -394,12 +394,7 @@ fn stats(circuit: &Circuit, knobs: Knobs, store: Option<&Store>) -> Result<(), S
     Ok(())
 }
 
-fn worst(
-    circuit: &Circuit,
-    floor: usize,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<(), String> {
+fn worst(circuit: &Circuit, floor: u32, knobs: Knobs, store: Option<&Store>) -> Result<(), String> {
     let provider = StoreProvider::new(store);
     print!(
         "{}",
@@ -468,11 +463,19 @@ fn greedy(netlist: &Netlist, n: u32, knobs: Knobs, store: Option<&Store>) -> Res
         return Err("--n must be at least 1".into());
     }
     let universe = StoreProvider::new(store).universe(netlist, None, knobs.universe_options())?;
-    let set = greedy_n_detection(&universe, n);
+    let set = ndetect_gen::generate(
+        &universe,
+        &GenOptions {
+            n,
+            threads: knobs.threads,
+            mem_budget: knobs.mem_budget,
+            ..GenOptions::default()
+        },
+    );
     println!(
         "greedy {n}-detection set: {} tests, bridging coverage {:.2}%",
         set.len(),
-        bridge_coverage(&universe, &set)
+        universe.bridging_coverage(set.as_vector_set()).1
     );
     println!("{set}");
     Ok(())
@@ -761,6 +764,8 @@ mod tests {
         // 2^32 + 1 is out of range for u32 and must not wrap to 1.
         assert!(run(&["gen", "figure1", "--n", "4294967297"]).is_err());
         assert!(run(&["greedy", "figure1", "--n", "4294967297"]).is_err());
+        assert!(run(&["worst", "figure1", "--floor", "4294967297"]).is_err());
+        assert!(run(&["worst", "figure1", "--floor", "18446744073709551616"]).is_err());
         for flag in ["--nmax", "--def", "--tail"] {
             assert!(
                 run(&["average", "figure1", flag, "4294967297"]).is_err(),
@@ -790,7 +795,6 @@ mod tests {
 
     #[test]
     fn usize_flags_reject_out_of_range_values() {
-        assert!(run(&["worst", "figure1", "--floor", "18446744073709551616"]).is_err());
         assert!(run(&["worst", "figure1", "--threads", "-1"]).is_err());
         assert!(run(&["cones", "c17", "--max-inputs", "18446744073709551616"]).is_err());
     }

@@ -3,7 +3,8 @@
 //! output checks (the commands print to the process stdout).
 
 use ndetect_cli::commands;
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 fn args(parts: &[&str]) -> Vec<String> {
     parts.iter().map(ToString::to_string).collect()
@@ -88,6 +89,64 @@ fn unknown_command_exits_nonzero_with_usage() {
     let (ok, _, stderr) = run_binary(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("usage:"), "usage on stderr:\n{stderr}");
+}
+
+#[test]
+fn unknown_circuits_are_named_with_a_pointer_to_list() {
+    for command in ["stats", "dot"] {
+        let (ok, _, stderr) = run_binary(&[command, "nosuch"]);
+        assert!(!ok);
+        assert_eq!(
+            stderr.lines().next(),
+            Some("error: unknown circuit `nosuch` (`ndet list` prints the circuit names)"),
+            "{command}:\n{stderr}"
+        );
+    }
+}
+
+/// Spawns `ndet <parts>` with piped stdout and stderr, reads `lines`
+/// lines of stdout, closes the pipe, and returns the exit status and
+/// stderr.
+fn run_with_closed_stdout(parts: &[&str], lines: usize) -> (bool, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ndet"))
+        .args(parts)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ndet binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    for _ in 0..lines {
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("stdout readable");
+    }
+    drop(stdout);
+    let out = child.wait_with_output().expect("ndet exits");
+    (
+        out.status.success(),
+        String::from_utf8(out.stderr).expect("utf8 stderr"),
+    )
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // Reading one line then hanging up races the writer; closing the
+    // pipe before the first write makes every print hit the closed pipe.
+    for lines in [1, 0] {
+        let (ok, stderr) = run_with_closed_stdout(&["list"], lines);
+        assert!(!stderr.contains("panicked"), "lines={lines}:\n{stderr}");
+        assert!(ok, "lines={lines}:\n{stderr}");
+    }
+}
+
+#[test]
+fn greedy_prints_the_generated_set() {
+    for n in ["1", "3", "10"] {
+        let (ok, greedy, stderr) = run_binary(&["greedy", "figure1", "--n", n]);
+        assert!(ok, "{stderr}");
+        let (ok, gen, stderr) = run_binary(&["gen", "figure1", "--n", n]);
+        assert!(ok, "{stderr}");
+        assert_eq!(greedy.lines().last(), gen.lines().last(), "n={n}");
+    }
 }
 
 /// A throwaway cache directory, removed at the end of the test.

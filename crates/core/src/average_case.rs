@@ -3,9 +3,9 @@
 
 use crate::definition::{Def2Queries, DetectionDefinition};
 use crate::error::CoreError;
-use crate::test_set::TestSet;
 use ndetect_faults::{FaultUniverse, StuckAtFault, ThreevalKernel};
 use ndetect_obs::trace;
+use ndetect_sim::TestSet;
 use ndetect_store::{
     decode_from_slice, encode_to_vec, ArtifactKey, ArtifactKind, CodecError, Decode, Decoder,
     Encode, Encoder, Fnv64, Store, CODEC_VERSION,

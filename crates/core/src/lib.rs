@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atpg;
 mod average_case;
 mod definition;
 mod distribution;
@@ -50,7 +49,6 @@ mod error;
 pub mod partition;
 pub mod report;
 mod summary;
-mod test_set;
 mod worst_case;
 
 pub use average_case::{
@@ -62,5 +60,4 @@ pub use definition::DetectionDefinition;
 pub use distribution::NminDistribution;
 pub use error::CoreError;
 pub use summary::{AnalysisConfig, CircuitAnalysis};
-pub use test_set::TestSet;
 pub use worst_case::{WorstCaseAnalysis, KIND_WORST_CASE};

@@ -518,6 +518,24 @@ impl FaultUniverse {
         &self.bridge_sets
     }
 
+    /// Bridging coverage of a test set: how many of [`Self::bridges`]
+    /// its members detect, and that count as a percentage (100.0 when
+    /// the universe has no bridges).
+    #[must_use]
+    pub fn bridging_coverage(&self, tests: &VectorSet) -> (usize, f64) {
+        let covered = self
+            .bridge_sets
+            .iter()
+            .filter(|t_g| t_g.intersects(tests))
+            .count();
+        let percent = if self.bridges.is_empty() {
+            100.0
+        } else {
+            100.0 * covered as f64 / self.bridges.len() as f64
+        };
+        (covered, percent)
+    }
+
     /// Number of enumerated four-way bridging faults that turned out to be
     /// undetectable (excluded from [`Self::bridges`]).
     #[must_use]
@@ -677,6 +695,28 @@ mod tests {
         assert_eq!(u.num_undetectable_bridges(), 2);
         assert!(u.find_bridge("10", true, "11", false).is_none());
         assert!(u.find_bridge("11", false, "10", true).is_none());
+    }
+
+    #[test]
+    fn bridging_coverage_counts_detected_bridges() {
+        let u = FaultUniverse::build(&figure1()).unwrap();
+        let space = u.space().num_patterns();
+        assert_eq!(u.bridging_coverage(&VectorSet::new(space)), (0, 0.0));
+        let all = VectorSet::from_vectors(space, 0..space);
+        assert_eq!(u.bridging_coverage(&all), (10, 100.0));
+        // T(g0) = {6,7}: vector 6 detects g0 and possibly others.
+        let (covered, percent) = u.bridging_coverage(&VectorSet::from_vectors(space, [6]));
+        assert!(covered >= 1);
+        assert!((percent - 10.0 * covered as f64).abs() < 1e-9);
+        let targets_only = FaultUniverse::build_with(
+            &figure1(),
+            UniverseOptions {
+                include_bridges: false,
+                ..UniverseOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(targets_only.bridging_coverage(&all), (0, 100.0));
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! `mem_budget` are excluded: generation is bit-identical for every
 //! worker count and memory budget), so warm re-generation of the same
 //! set is a disk hit. Decoding is defensive:
-//! the membership bitset is rebuilt from the vector list (rejecting
-//! duplicates and out-of-range indices) and the caller revalidates the
+//! the test set is rebuilt from the vector list (rejecting duplicates
+//! and out-of-range indices) and the caller revalidates the
 //! per-target counts and the n-detection property against the live
 //! universe before trusting an entry.
 
 use crate::generate::{GenOptions, GeneratedSet};
 use ndetect_faults::FaultUniverse;
-use ndetect_sim::VectorSet;
+use ndetect_sim::TestSet;
 use ndetect_store::{
     ArtifactKey, ArtifactKind, CodecError, Decode, Decoder, Encode, Encoder, Fnv64, CODEC_VERSION,
 };
@@ -43,11 +43,11 @@ pub fn generated_key(universe: &FaultUniverse, options: &GenOptions) -> Artifact
 
 impl Encode for GeneratedSet {
     fn encode(&self, e: &mut Encoder) {
-        e.put_usize(self.members.num_patterns());
+        e.put_usize(self.num_patterns());
         e.put_u32(self.n);
         self.seed.encode(e);
         e.put_bool(self.compacted);
-        self.vectors.encode(e);
+        self.vectors().encode(e);
         self.target_counts.encode(e);
     }
 }
@@ -67,13 +67,13 @@ impl Decode for GeneratedSet {
         let compacted = d.get_bool()?;
         let vectors = Vec::<u32>::decode(d)?;
         let target_counts = Vec::<u32>::decode(d)?;
-        let mut members = VectorSet::new(num_patterns);
-        for &v in &vectors {
-            let v = v as usize;
-            if v >= num_patterns {
+        let mut tests = TestSet::new(num_patterns);
+        for v in vectors {
+            // `push` panics outside the space: range-check first.
+            if v as usize >= num_patterns {
                 return Err(CodecError::new("generated vector outside pattern space"));
             }
-            if !members.insert(v) {
+            if !tests.push(v as usize) {
                 return Err(CodecError::new("duplicate generated vector"));
             }
         }
@@ -81,8 +81,7 @@ impl Decode for GeneratedSet {
             n,
             seed,
             compacted,
-            vectors,
-            members,
+            tests,
             target_counts,
         })
     }
@@ -100,7 +99,7 @@ impl GeneratedSet {
         universe: &FaultUniverse,
         options: &GenOptions,
     ) -> bool {
-        self.members.num_patterns() == universe.space().num_patterns()
+        self.num_patterns() == universe.space().num_patterns()
             && self.n == options.n
             && self.seed == options.seed
             && self.compacted == options.compact
@@ -164,13 +163,25 @@ mod tests {
     #[test]
     fn decode_rejects_duplicate_and_out_of_range_vectors() {
         let u = universe();
-        let mut set = generate(&u, &GenOptions::with_n(1));
-        let first = set.vectors[0];
-        set.vectors.push(first); // duplicate
-        assert!(decode_from_slice::<GeneratedSet>(&encode_to_vec(&set)).is_err());
-        set.vectors.pop();
-        set.vectors.push(u16::MAX as u32); // out of range for 16 patterns
-        assert!(decode_from_slice::<GeneratedSet>(&encode_to_vec(&set)).is_err());
+        let set = generate(&u, &GenOptions::with_n(1));
+        // The wire layout of a set whose vector list is `vectors`.
+        let encoded = |vectors: &[u32]| {
+            let mut e = ndetect_store::Encoder::new();
+            e.put_usize(set.num_patterns());
+            e.put_u32(set.n());
+            set.seed().encode(&mut e);
+            e.put_bool(set.is_compacted());
+            vectors.encode(&mut e);
+            set.target_counts().encode(&mut e);
+            e.finish()
+        };
+        assert_eq!(encoded(set.vectors()), encode_to_vec(&set));
+        let mut vectors = set.vectors().to_vec();
+        vectors.push(vectors[0]); // duplicate
+        assert!(decode_from_slice::<GeneratedSet>(&encoded(&vectors)).is_err());
+        vectors.pop();
+        vectors.push(u16::MAX as u32); // out of range for 16 patterns
+        assert!(decode_from_slice::<GeneratedSet>(&encoded(&vectors)).is_err());
     }
 
     #[test]

@@ -27,14 +27,14 @@ pub fn compact(set: &mut GeneratedSet, universe: &FaultUniverse) -> usize {
     let goal: Vec<u32> = targets.iter().map(|t| n.min(t.len()) as u32).collect();
     let mut counts: Vec<u32> = targets
         .iter()
-        .map(|t| t.intersection_count(&set.members) as u32)
+        .map(|t| set.tests.detection_count(t) as u32)
         .collect();
 
     let mut removed_total = 0usize;
     loop {
         let mut removed_this_pass = 0usize;
-        for idx in (0..set.vectors.len()).rev() {
-            let v = set.vectors[idx] as usize;
+        for idx in (0..set.len()).rev() {
+            let v = set.vectors()[idx] as usize;
             // v must stay if any target is exactly at its requirement
             // and counts v among its detections.
             let blocked = targets
@@ -49,8 +49,7 @@ pub fn compact(set: &mut GeneratedSet, universe: &FaultUniverse) -> usize {
                     counts[fi] -= 1;
                 }
             }
-            set.members.remove(v);
-            set.vectors.remove(idx);
+            set.tests.remove_at(idx);
             removed_this_pass += 1;
         }
         removed_total += removed_this_pass;
@@ -100,13 +99,9 @@ mod tests {
         // back to something no larger than the padded set and still
         // satisfying.
         let space = u.space().num_patterns();
-        let mut members = set.as_vector_set().clone();
         for v in 0..space {
-            if members.insert(v) {
-                set.vectors.push(v as u32);
-            }
+            set.tests.push(v);
         }
-        set.members = members;
         set.recount(&u);
         assert_eq!(set.len(), space);
         let removed = compact(&mut set, &u);

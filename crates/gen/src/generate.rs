@@ -8,7 +8,7 @@ use crate::artifact::{generated_key, KIND_GENERATED_SET};
 use crate::compact::compact;
 use ndetect_faults::FaultUniverse;
 use ndetect_obs::trace;
-use ndetect_sim::{parallel, rows, MemoryBudget, VectorSet};
+use ndetect_sim::{parallel, rows, MemoryBudget, TestSet, VectorSet};
 use ndetect_store::{decode_from_slice, encode_to_vec, Store};
 use std::fmt;
 use std::ops::Range;
@@ -28,16 +28,18 @@ pub struct GenOptions {
     /// rank, giving a different (still deterministic) set per seed —
     /// useful for generating diverse sets of the same quality.
     pub seed: Option<u64>,
-    /// Worker threads for the gain pass; `0` means auto
-    /// (`NDETECT_THREADS`, then the machine's available parallelism).
-    /// Results are bit-identical for every thread count.
+    /// Worker threads for the initial gain pass (the rounds after it
+    /// update the gains serially); `0` means auto (`NDETECT_THREADS`,
+    /// then the machine's available parallelism). Results are
+    /// bit-identical for every thread count.
     pub threads: usize,
-    /// Per-worker memory budget for the gain pass: gain rows are
-    /// accumulated over budget-sized spans of the pattern space instead
-    /// of one full-width row per worker. A performance knob like
-    /// [`Self::threads`] — generated sets are bit-identical for every
-    /// budget, so it is excluded from the store key. `Auto` consults
-    /// `NDETECT_MEM_BUDGET` and defaults to unbounded.
+    /// Per-worker memory budget for the initial gain pass: each worker
+    /// accumulates budget-sized spans of the pattern space instead of
+    /// one full-width row. The assembled gain row the rounds update is
+    /// always full-width (one `u32` per vector). A performance knob
+    /// like [`Self::threads`] — generated sets are bit-identical for
+    /// every budget, so it is excluded from the store key. `Auto`
+    /// consults `NDETECT_MEM_BUDGET` and defaults to unbounded.
     pub mem_budget: MemoryBudget,
 }
 
@@ -64,9 +66,9 @@ impl GenOptions {
     }
 }
 
-/// A generated n-detection test set: vectors in insertion order, the
-/// membership bitset, per-target detection counts, and the options that
-/// produced it.
+/// A generated n-detection test set: the [`TestSet`] (vectors in
+/// insertion order plus their membership bitset), per-target detection
+/// counts, and the options that produced it.
 ///
 /// Invariant (established by [`generate`], preserved by [`compact`],
 /// revalidated when loading from the artifact store): every target
@@ -76,8 +78,7 @@ pub struct GeneratedSet {
     pub(crate) n: u32,
     pub(crate) seed: Option<u64>,
     pub(crate) compacted: bool,
-    pub(crate) vectors: Vec<u32>,
-    pub(crate) members: VectorSet,
+    pub(crate) tests: TestSet,
     pub(crate) target_counts: Vec<u32>,
 }
 
@@ -103,32 +104,32 @@ impl GeneratedSet {
     /// The test vectors, in insertion order.
     #[must_use]
     pub fn vectors(&self) -> &[u32] {
-        &self.vectors
+        self.tests.vectors()
     }
 
     /// The membership bitset over the pattern space.
     #[must_use]
     pub fn as_vector_set(&self) -> &VectorSet {
-        &self.members
+        self.tests.as_vector_set()
     }
 
     /// Number of tests.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.tests.len()
     }
 
     /// Returns `true` if the set has no tests (every target was
     /// undetectable).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.tests.is_empty()
     }
 
     /// The size of the underlying pattern space `|U|`.
     #[must_use]
     pub fn num_patterns(&self) -> usize {
-        self.members.num_patterns()
+        self.as_vector_set().num_patterns()
     }
 
     /// `|T(f) ∩ T|` for target index `i`.
@@ -159,7 +160,7 @@ impl GeneratedSet {
                 .iter()
                 .zip(&self.target_counts)
                 .all(|(t_f, &count)| {
-                    count as usize == t_f.intersection_count(&self.members)
+                    count as usize == self.tests.detection_count(t_f)
                         && count as usize >= t_f.len().min(self.n as usize)
                 })
     }
@@ -170,21 +171,14 @@ impl GeneratedSet {
         self.target_counts = universe
             .target_sets()
             .iter()
-            .map(|t_f| t_f.intersection_count(&self.members) as u32)
+            .map(|t_f| self.tests.detection_count(t_f) as u32)
             .collect();
     }
 }
 
 impl fmt::Display for GeneratedSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, v) in self.vectors.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ")?;
-            }
-            write!(f, "{v}")?;
-        }
-        write!(f, "]")
+        self.tests.fmt(f)
     }
 }
 
@@ -196,36 +190,22 @@ fn mix(seed: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Running argmax of the gain scan: `(vector, gain, tie-break rank)`.
-type Argmax = (usize, u32, u64);
-
-/// Folds one span of gain values (vector indices `base..base + len`)
-/// into the running argmax. Spans must be folded in ascending vector
-/// order; the result is then identical to a single scan of the
-/// concatenated row — the highest gain wins, ties go to the smallest
-/// index (`seed = None`) or the smallest seeded hash rank.
-fn pick_best_span(gain: &[u32], base: usize, seed: Option<u64>, best: &mut Option<Argmax>) {
+/// The vector the greedy round picks: the highest gain, ties broken
+/// toward the smallest index (`seed = None`) or the smallest seeded
+/// hash rank. Returns `(vector, gain)`.
+fn pick_best(gain: &[u32], seed: Option<u64>) -> (usize, u32) {
     let rank = |v: usize| seed.map_or(v as u64, |s| mix(s, v as u64));
-    let mut it = gain.iter().enumerate();
-    if best.is_none() {
-        if let Some((v, &g)) = it.next() {
-            *best = Some((base + v, g, rank(base + v)));
-        }
-    }
-    let Some((best_v, best_gain, best_rank)) = best.as_mut() else {
-        return;
-    };
-    for (v, &g) in it {
-        if g < *best_gain {
+    let (mut best, mut best_gain, mut best_rank) = (0, gain[0], rank(0));
+    for (v, &g) in gain.iter().enumerate().skip(1) {
+        if g < best_gain {
             continue;
         }
-        let r = rank(base + v);
-        if g > *best_gain || r < *best_rank {
-            *best_v = base + v;
-            *best_gain = g;
-            *best_rank = r;
+        let r = rank(v);
+        if g > best_gain || r < best_rank {
+            (best, best_gain, best_rank) = (v, g, r);
         }
     }
+    (best, best_gain)
 }
 
 /// One 64-vector block's worth of gain counters (64 × `u32`) in u64
@@ -234,21 +214,22 @@ fn pick_best_span(gain: &[u32], base: usize, seed: Option<u64>, best: &mut Optio
 /// bytes.
 const GAIN_WORDS_PER_BLOCK: usize = 32;
 
-/// Accumulates the gain of every candidate vector in one span of
-/// 64-vector blocks: each worker chunk of the active fault list walks
-/// its targets' remaining detection words (`T(f) \ chosen`) restricted
-/// to the span and scores them into a span-local gain row. Per-fault
-/// cost is uniform (every set spans the same block count), so one
-/// static chunk per worker balances fine and keeps the per-span
-/// allocation at `workers` rows. Partial rows are summed in chunk
-/// order, so the totals are identical for any thread count.
+/// Accumulates the initial gain of every candidate vector in one span
+/// of 64-vector blocks into `out` (the span's slice of the gain row):
+/// each worker chunk of the active fault list walks its targets'
+/// detection words restricted to the span and scores them into a
+/// span-local gain row. Per-fault cost is uniform (every set spans the
+/// same block count), so one static chunk per worker balances fine and
+/// keeps the per-span allocation at `workers` rows. Partial rows are
+/// summed in chunk order, so the totals are identical for any thread
+/// count.
 fn gain_for_span(
     targets: &[VectorSet],
     active: &[u32],
-    members: &VectorSet,
     threads: usize,
     span: Range<usize>,
-) -> Vec<u32> {
+    out: &mut [u32],
+) {
     let len = span.len() * 64;
     let base = span.start * 64;
     let workers = threads.min(active.len()).max(1);
@@ -263,11 +244,10 @@ fn gain_for_span(
                 let end = ((w + 1) * chunk).min(active.len());
                 for &fi in &active[start..end] {
                     let t_words = targets[fi as usize].words();
-                    let m_words = members.words();
                     for b in span.clone() {
                         // Tail bits past |U| are zero by the VectorSet
                         // invariant, so they never score.
-                        let mut word = t_words[b] & !m_words[b];
+                        let mut word = t_words[b];
                         while word != 0 {
                             gain[b * 64 + word.trailing_zeros() as usize - base] += 1;
                             word &= word - 1;
@@ -278,37 +258,36 @@ fn gain_for_span(
             })
             .collect()
     });
-    partials
-        .into_iter()
-        .reduce(|mut acc, part| {
-            for (a, p) in acc.iter_mut().zip(part) {
-                *a += p;
-            }
-            acc
-        })
-        .expect("at least one chunk")
+    for part in partials {
+        for (a, p) in out.iter_mut().zip(part) {
+            *a += p;
+        }
+    }
 }
 
 /// Builds a compact n-detection test set for the universe's target
 /// faults by greedy set cover.
 ///
-/// Each round accumulates, over fault tiles on the shared worker pool,
-/// the **gain** of every candidate vector — how many still-deficient
-/// targets it would push one detection closer to `min(n, |T(f)|)` — by
-/// walking `T(f) \ chosen` word-parallel on the detection bitsets; the
-/// highest-gain vector joins the set. Under a bounded
-/// [`GenOptions::mem_budget`] the gain rows are streamed over
-/// budget-sized spans of the pattern space instead of held full-width
-/// per worker. The construction is deterministic for every thread count
-/// and budget (tiles are reassembled in index order, spans are folded
-/// into the argmax in ascending vector order, and the argmax scan is
-/// serial), and seeded tie-breaking yields deterministic *diverse*
-/// sets. With `options.compact` the reverse-order redundant-vector
-/// elimination passes run before returning.
+/// The **gain** of a vector is the number of still-deficient targets —
+/// short of `min(n, |T(f)|)` detections — whose detection set contains
+/// it. One pass computes every vector's gain word-parallel on the
+/// detection bitsets, over fault chunks on the shared worker pool; under
+/// a bounded [`GenOptions::mem_budget`] each worker streams
+/// budget-sized spans of the pattern space instead of a full-width row.
+/// Each round then adds the highest-gain vector to the set and keeps
+/// the row exact incrementally: the chosen vector's gain drops to zero,
+/// and each target the pick brings to its goal takes one unit of gain
+/// from every unchosen vector of its `T(f)`. Ties go to the smallest
+/// vector index, or with `options.seed` to the smallest seeded hash
+/// rank, giving deterministic *diverse* sets. The construction is
+/// identical for every thread count and budget (chunks are summed in
+/// order; the rounds are serial). With `options.compact` the
+/// reverse-order redundant-vector elimination passes run before
+/// returning.
 ///
 /// Undetectable targets (empty `T(f)`) impose no requirement. The
 /// greedy invariant guarantees termination: while any target is
-/// deficient, some uncovered vector of its detection set has gain ≥ 1.
+/// deficient, some unchosen vector of its detection set has gain ≥ 1.
 ///
 /// # Panics
 ///
@@ -322,13 +301,11 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
 
     // Outstanding detections per target: min(n, |T(f)|) minus the
     // detections already provided by the chosen set (0 at the start).
-    let goal: Vec<u32> = targets
+    let mut deficit: Vec<u32> = targets
         .iter()
         .map(|t| (options.n as usize).min(t.len()) as u32)
         .collect();
-    let mut deficit = goal;
-    // Targets still short of their goal — the only ones the gain pass
-    // scans; shrinks every round.
+    // Targets still short of their goal; shrinks every round.
     let mut active: Vec<u32> = deficit
         .iter()
         .enumerate()
@@ -336,58 +313,58 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
         .map(|(fi, _)| fi as u32)
         .collect();
 
-    let mut members = VectorSet::new(num_patterns);
-    let mut vectors: Vec<u32> = Vec::new();
+    let mut gen_span = trace::span("gen.generate");
+    gen_span.field("n", options.n);
+    gen_span.field("targets", targets.len());
 
-    // Budget-sized block spans for the gain rows: unbounded budgets get
-    // one full-width span per round (the fast path); bounded budgets
-    // stream the pattern space through span-local rows, folding each
-    // span into the running argmax — bit-identical either way, since
-    // spans are visited in ascending vector order.
+    // The initial gain row, full-width, assembled from budget-sized
+    // block spans (one span when the budget is unbounded).
     let num_blocks = universe.space().num_blocks();
     let span_blocks = options
         .mem_budget
         .tile_width(GAIN_WORDS_PER_BLOCK, num_blocks);
+    let mut gain = rows::zeroed_counts(num_blocks * 64);
+    for start in (0..num_blocks).step_by(span_blocks) {
+        let span = start..num_blocks.min(start + span_blocks);
+        let out = &mut gain[span.start * 64..span.end * 64];
+        gain_for_span(targets, &active, threads, span, out);
+    }
 
-    let mut gen_span = trace::span("gen.generate");
-    gen_span.field("n", options.n);
-    gen_span.field("targets", targets.len());
+    let mut tests = TestSet::new(num_patterns);
     while !active.is_empty() {
-        // Per-round span: gain-pass time, candidates scanned, and the
-        // gain of the vector the round chose — the per-round cost data
-        // the set-cover analysis (PAPERS.md, Cui) predicts shifts in.
+        // Per-round span: the active targets and the gain of the vector
+        // the round chose — the per-round data the set-cover analysis
+        // (PAPERS.md, Cui) predicts shifts in.
         let mut round_span = trace::span("gen.round");
         round_span.field("active", active.len());
-        let mut running: Option<Argmax> = None;
-        let mut start = 0;
-        while start < num_blocks {
-            let end = num_blocks.min(start + span_blocks);
-            let gain = gain_for_span(targets, &active, &members, threads, start..end);
-            // Vectors already chosen contribute nothing by construction
-            // (chosen words are masked out), so the argmax folds `gain`
-            // directly.
-            pick_best_span(&gain, start * 64, options.seed, &mut running);
-            start = end;
-        }
-        let (best, best_gain, _) = running.expect("at least one block");
+        let (best, best_gain) = pick_best(&gain, options.seed);
         if best_gain == 0 {
             // Defensively unreachable: a deficient target always has an
             // unchosen vector left in T(f).
             break;
         }
         round_span.field("gain", best_gain);
-        members.insert(best);
-        vectors.push(best as u32);
+        tests.push(best);
+        gain[best] = 0;
         active.retain(|&fi| {
             let fi = fi as usize;
-            if targets[fi].contains(best) {
-                deficit[fi] -= 1;
+            if !targets[fi].contains(best) {
+                return true;
             }
-            deficit[fi] > 0
+            deficit[fi] -= 1;
+            if deficit[fi] > 0 {
+                return true;
+            }
+            // Saturated: the target stops counting toward the gain of
+            // its unchosen vectors.
+            for v in targets[fi].iter_difference(tests.as_vector_set()) {
+                gain[v] -= 1;
+            }
+            false
         });
         ndetect_obs::global().counter("gen_rounds_total").inc();
     }
-    gen_span.field("vectors", vectors.len());
+    gen_span.field("vectors", tests.len());
     drop(gen_span);
     ndetect_obs::global().counter("gen_sets_total").inc();
 
@@ -395,8 +372,7 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
         n: options.n,
         seed: options.seed,
         compacted: false,
-        vectors,
-        members,
+        tests,
         target_counts: Vec::new(),
     };
     set.recount(universe);
@@ -558,6 +534,17 @@ mod tests {
         for (fi, t_f) in u.target_sets().iter().enumerate() {
             assert_eq!(all.target_count(fi) as usize, t_f.len(), "target {fi}");
         }
+    }
+
+    #[test]
+    fn bridging_coverage_grows_with_n() {
+        let u = universe();
+        let (covered1, percent1) =
+            u.bridging_coverage(generate(&u, &GenOptions::with_n(1)).as_vector_set());
+        let (covered8, percent8) =
+            u.bridging_coverage(generate(&u, &GenOptions::with_n(8)).as_vector_set());
+        assert!(covered8 >= covered1);
+        assert!(percent8 >= percent1 && percent8 <= 100.0);
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //! the workspace's worst-/average-case analyses.
 //!
 //! The paper analyzes properties of n-detection test sets; this crate
-//! *produces* them. [`generate`] runs a deterministic greedy set-cover
-//! construction over a [`ndetect_faults::FaultUniverse`]: each round it
-//! picks the input vector that satisfies the most still-outstanding
-//! (fault, remaining-detections) pairs, with the gain pass accumulated
-//! over fault tiles on the `ndetect_sim::parallel` worker pool and all
-//! per-fault accounting done word-parallel on the universe's detection
-//! bitsets. Optional [`compact`] passes then eliminate redundant vectors
-//! in reverse insertion order without ever breaking the n-detection
-//! property.
+//! *produces* them. [`generate`] is the workspace's one greedy
+//! set-cover construction over a [`ndetect_faults::FaultUniverse`]:
+//! each round it picks the input vector that advances the most
+//! still-deficient targets. One gain pass, over fault chunks on the
+//! `ndetect_sim::parallel` worker pool and word-parallel on the
+//! universe's detection bitsets, scores every vector; the rounds then
+//! keep those gains exact incrementally. Optional [`compact`] passes
+//! eliminate redundant vectors in reverse insertion order without ever
+//! breaking the n-detection property.
 //!
-//! The result is a [`GeneratedSet`] — vectors in insertion order plus
-//! per-target detection counts and the options that produced it — which
+//! The result is a [`GeneratedSet`] — an `ndetect_sim::TestSet` (vectors
+//! in insertion order with their membership) plus per-target detection
+//! counts and the options that produced it — which
 //! round-trips through the `ndetect-store` artifact cache
 //! ([`generate_stored`], [`KIND_GENERATED_SET`]) so warm re-generation
 //! is a disk hit instead of a rebuild.

@@ -9,12 +9,16 @@
 //! * `|T|` at `n = 1` stays at or below the exhaustive-space size on
 //!   all three corpus circuits;
 //! * the same properties hold on randomly generated netlists, seeded
-//!   and unseeded.
+//!   and unseeded;
+//! * the generated vectors equal, in order, those of a naive greedy
+//!   that recounts every gain from scratch each round — on every suite
+//!   circuit, `figure1`, `c17` and random netlists, for every thread
+//!   count and memory budget.
 
 use ndetect_faults::{FaultUniverse, UniverseOptions};
 use ndetect_gen::{compact, generate, GenOptions};
 use ndetect_netlist::{bench_format, Netlist};
-use ndetect_sim::VectorSet;
+use ndetect_sim::{MemoryBudget, VectorSet};
 use ndetect_testutil::arb_netlist_sized;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -88,6 +92,134 @@ fn every_suite_circuit_meets_the_oracle_requirement() {
                 "compacted",
             );
         }
+    }
+}
+
+/// The seeded tie-breaking rank of `generate` (SplitMix64 finalizer of
+/// `seed ^ v·φ`); unseeded ties go to the smallest vector index.
+fn tie_rank(seed: Option<u64>, v: usize) -> u64 {
+    let Some(seed) = seed else {
+        return v as u64;
+    };
+    let mut z = seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Naive greedy set cover, the differential oracle for `generate`:
+/// each round recounts, from scratch, every unchosen vector's gain —
+/// the number of still-deficient targets whose `T(f)` contains it —
+/// and takes the highest gain, ties broken by [`tie_rank`].
+fn naive_greedy(universe: &FaultUniverse, n: u32, seed: Option<u64>) -> Vec<u32> {
+    let targets = universe.target_sets();
+    let num_patterns = universe.space().num_patterns();
+    let mut deficit: Vec<usize> = targets.iter().map(|t| t.len().min(n as usize)).collect();
+    let mut chosen = VectorSet::new(num_patterns);
+    let mut order = Vec::new();
+    while deficit.iter().any(|&d| d > 0) {
+        let mut gain = vec![0u32; num_patterns];
+        for (t_f, &d) in targets.iter().zip(&deficit) {
+            if d == 0 {
+                continue;
+            }
+            for (b, (&t, &c)) in t_f.words().iter().zip(chosen.words()).enumerate() {
+                let mut word = t & !c;
+                while word != 0 {
+                    gain[b * 64 + word.trailing_zeros() as usize] += 1;
+                    word &= word - 1;
+                }
+            }
+        }
+        let best = (0..num_patterns)
+            .filter(|&v| gain[v] > 0)
+            .min_by_key(|&v| (std::cmp::Reverse(gain[v]), tie_rank(seed, v)))
+            .expect("a deficient target has an unchosen vector left");
+        chosen.insert(best);
+        order.push(best as u32);
+        for (t_f, d) in targets.iter().zip(&mut deficit) {
+            if *d > 0 && t_f.contains(best) {
+                *d -= 1;
+            }
+        }
+    }
+    order
+}
+
+/// The `(n, seed)` cases the generator is checked on.
+const CASES: [(u32, Option<u64>); 6] = [
+    (1, None),
+    (3, None),
+    (10, None),
+    (1, Some(7)),
+    (3, Some(7)),
+    (10, Some(7)),
+];
+
+/// The thread counts and memory budgets `generate` must be invariant
+/// under.
+const KNOBS: [(usize, MemoryBudget); 6] = [
+    (1, MemoryBudget::Unbounded),
+    (2, MemoryBudget::Unbounded),
+    (4, MemoryBudget::Unbounded),
+    (1, MemoryBudget::Bytes(1)),
+    (2, MemoryBudget::Bytes(1)),
+    (4, MemoryBudget::Bytes(1)),
+];
+
+/// Asserts that `generate` returns the naive greedy's vectors for every
+/// `(n, seed)` case under every (threads, budget) knob.
+fn assert_matches_naive(
+    name: &str,
+    universe: &FaultUniverse,
+    cases: &[(u32, Option<u64>)],
+    knobs: &[(usize, MemoryBudget)],
+) {
+    for &(n, seed) in cases {
+        let want = naive_greedy(universe, n, seed);
+        for &(threads, mem_budget) in knobs {
+            let options = GenOptions {
+                n,
+                seed,
+                threads,
+                mem_budget,
+                ..GenOptions::default()
+            };
+            assert_eq!(
+                generate(universe, &options).vectors(),
+                want.as_slice(),
+                "{name}: n={n} seed={seed:?} threads={threads} budget={mem_budget}"
+            );
+        }
+    }
+}
+
+#[test]
+fn generate_matches_the_naive_greedy_on_every_registry_circuit() {
+    let names = ndetect_circuits::suite()
+        .into_iter()
+        .map(|spec| spec.name().to_string())
+        .chain(["figure1".to_string(), "c17".to_string()]);
+    for (i, name) in names.enumerate() {
+        let netlist = ndetect_circuits::build(&name).expect("registry circuit builds");
+        let universe = targets_universe(&netlist);
+        // The naive oracle costs a full recount per round, so the
+        // widest circuits (8k+ vectors) take one (n, seed) case each and
+        // circuits beyond 4 blocks one knob each, both rotating through
+        // every entry across the registry; random netlists below take
+        // the full cross product.
+        let blocks = universe.space().num_blocks();
+        let cases = if blocks < 128 {
+            &CASES[..]
+        } else {
+            std::slice::from_ref(&CASES[i % CASES.len()])
+        };
+        let knobs = if blocks <= 4 {
+            &KNOBS[..]
+        } else {
+            std::slice::from_ref(&KNOBS[i % KNOBS.len()])
+        };
+        assert_matches_naive(&name, &universe, cases, knobs);
     }
 }
 
@@ -169,6 +301,12 @@ proptest! {
         prop_assert_eq!(compacted.len() + removed, raw.len());
         prop_assert!(compacted.satisfies(&universe));
         assert_oracle_property(netlist.name(), n, &oracle, compacted.as_vector_set(), "compacted");
+    }
+
+    #[test]
+    fn random_netlists_match_the_naive_greedy(netlist in arb_netlist_sized(8, 16)) {
+        let universe = targets_universe(&netlist);
+        assert_matches_naive(netlist.name(), &universe, &CASES, &KNOBS);
     }
 
     #[test]

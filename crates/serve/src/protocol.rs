@@ -84,7 +84,7 @@ pub enum Request {
         /// Suite circuit name or sequential registry name.
         circuit: String,
         /// Distribution floor (default 100, like `--floor`).
-        floor: usize,
+        floor: u32,
         /// Fault model for sequential circuits.
         model: Option<String>,
         /// Performance knobs.
@@ -295,7 +295,7 @@ impl Request {
                 })
             }
             "worst" => {
-                let mut floor = 100usize;
+                let mut floor = 100u32;
                 let mut model = None;
                 for (key, value) in &extras {
                     match (*key, value) {
@@ -620,6 +620,10 @@ mod tests {
             Request::parse("worst c17 floor=zebra").unwrap_err().code,
             "parse"
         );
+        // 2^32 + 1 is out of range for the u32 floor and must not wrap.
+        let err = Request::parse("worst c17 floor=4294967297").unwrap_err();
+        assert_eq!(err.code, "parse");
+        assert_eq!(err.message, "bad floor value `4294967297`");
         assert_eq!(
             Request::parse("gen figure1 bogus=1").unwrap_err().code,
             "parse"

@@ -17,6 +17,7 @@
 //! [`render_worst`], [`render_gen`], and [`render_corpus`] /
 //! [`render_corpus_stream`] for directories of `.bench` files.
 
+use ndetect_circuits::CircuitError;
 use ndetect_core::partition::analyze_output_cones_budget;
 use ndetect_core::report::{render_table2, render_table3, table2_row, table3_row};
 use ndetect_core::{NminDistribution, WorstCaseAnalysis};
@@ -50,6 +51,16 @@ impl Knobs {
             mem_budget: self.mem_budget,
             ..UniverseOptions::default()
         }
+    }
+}
+
+/// The user-facing text of a failed registry build: an unknown name
+/// points at `ndet list`, which prints every circuit name.
+#[must_use]
+pub fn circuit_error(e: &CircuitError) -> String {
+    match e {
+        CircuitError::Unknown { .. } => format!("{e} (`ndet list` prints the circuit names)"),
+        _ => e.to_string(),
     }
 }
 
@@ -160,9 +171,8 @@ impl Circuit {
                 (Err(_), Ok(_)) => {
                     return Err(format!("`{name}` is not a sequential circuit (drop --seq)"))
                 }
-                // Unknown everywhere: report the suite error, which lists
-                // the circuits the user most likely wanted.
-                (Err(_), Err(e)) => return Err(e.to_string()),
+                // Unknown everywhere: name the miss and point at the list.
+                (Err(_), Err(e)) => return Err(circuit_error(&e)),
             },
         };
         circuit.with_model(name, model, model_flag)
@@ -322,7 +332,7 @@ pub fn render_stats(
 /// universe cannot be built.
 pub fn render_worst(
     circuit: &Circuit,
-    floor: usize,
+    floor: u32,
     knobs: Knobs,
     provider: &dyn UniverseProvider,
 ) -> Result<String, String> {
@@ -336,7 +346,7 @@ pub fn render_worst(
     let _ = write!(out, "{}", render_table2(&[table2_row(name, &wc)]));
     let _ = writeln!(out);
     let _ = write!(out, "{}", render_table3(&[table3_row(name, &wc)]));
-    let dist = NminDistribution::collect(&wc, floor as u32);
+    let dist = NminDistribution::collect(&wc, floor);
     if !dist.is_empty() {
         let _ = writeln!(out, "\nnmin distribution (nmin >= {floor}):");
         let _ = write!(out, "{}", dist.render_ascii(24));
@@ -391,16 +401,7 @@ pub fn render_gen(
         universe.num_detectable_targets(),
         universe.targets().len()
     );
-    let covered = universe
-        .bridge_sets()
-        .iter()
-        .filter(|t_g| t_g.intersects(set.as_vector_set()))
-        .count();
-    let coverage = if universe.bridges().is_empty() {
-        100.0
-    } else {
-        100.0 * covered as f64 / universe.bridges().len() as f64
-    };
+    let (covered, coverage) = universe.bridging_coverage(set.as_vector_set());
     let _ = writeln!(
         out,
         "bridging coverage: {coverage:.2}% ({covered} of {})",

@@ -637,10 +637,14 @@ mod tests {
             panic!("expected parse error");
         };
         assert_eq!(code, "parse");
-        let Reply::Err { code, .. } = request_line(addr, "stats not-a-circuit") else {
+        let Reply::Err { code, message } = request_line(addr, "stats not-a-circuit") else {
             panic!("expected analysis error");
         };
         assert_eq!(code, "analysis");
+        assert_eq!(
+            message,
+            "unknown circuit `not-a-circuit` (`ndet list` prints the circuit names)"
+        );
         shutdown.shutdown();
         handle.join().unwrap().unwrap();
     }

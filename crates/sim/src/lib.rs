@@ -11,6 +11,9 @@
 //!   vector notation).
 //! * [`VectorSet`] — a dense bitset over the vectors of a space; the
 //!   representation of the detection sets `T(f)` and of test sets.
+//! * [`TestSet`] — distinct vectors in insertion order with their
+//!   [`VectorSet`] membership: the test sets of Procedure 1 and of the
+//!   generator.
 //! * [`GoodValues`] — fault-free values of every node on every vector,
 //!   computed once by levelized bit-parallel simulation and reused by all
 //!   fault injections.
@@ -65,6 +68,7 @@ pub mod rows;
 mod scratch;
 mod set;
 mod space;
+mod test_set;
 mod threeval;
 mod twoval;
 
@@ -74,5 +78,6 @@ pub use rows::{MemoryBudget, RowMatrix, MEM_BUDGET_ENV};
 pub use scratch::SimScratch;
 pub use set::VectorSet;
 pub use space::{PatternSpace, MAX_EXHAUSTIVE_INPUTS};
+pub use test_set::TestSet;
 pub use threeval::{eval_gate_trit, eval_trits_all, PartialVector, Trit};
 pub use twoval::{eval_gate_word, eval_gate_word_pin_override};

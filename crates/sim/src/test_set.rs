@@ -1,16 +1,17 @@
 //! Test sets: ordered collections of distinct input vectors.
 
-use ndetect_sim::VectorSet;
+use crate::VectorSet;
 use std::fmt;
 
 /// A test set: distinct input vectors in insertion order, with a bitset
 /// for O(1) membership.
 ///
 /// Insertion order matters for the paper's Definition 2, whose greedy
-/// detection counting scans tests in the order they entered the set.
+/// detection counting scans tests in the order they entered the set,
+/// and for compaction, which scans them in reverse.
 ///
 /// ```
-/// use ndetect_core::TestSet;
+/// use ndetect_sim::TestSet;
 /// let mut t = TestSet::new(16);
 /// assert!(t.push(6));
 /// assert!(t.push(3));
@@ -49,6 +50,18 @@ impl TestSet {
         self.order
             .push(u32::try_from(vector).expect("vector fits u32"));
         true
+    }
+
+    /// Removes and returns the vector at position `index` of the
+    /// insertion order, keeping the order of the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn remove_at(&mut self, index: usize) -> u32 {
+        let vector = self.order.remove(index);
+        self.members.remove(vector as usize);
+        vector
     }
 
     /// Membership test.
@@ -138,6 +151,11 @@ mod tests {
         }
         assert_eq!(ts.vectors(), &[9, 1, 33, 2]);
         assert_eq!(ts.to_string(), "[9 1 33 2]");
+        assert_eq!(ts.remove_at(1), 1);
+        assert_eq!(ts.vectors(), &[9, 33, 2]);
+        assert!(!ts.contains(1));
+        assert!(ts.push(1));
+        assert_eq!(ts.to_string(), "[9 33 2 1]");
     }
 
     #[test]

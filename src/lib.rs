@@ -8,13 +8,13 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`netlist`] | gate-level circuits, `.bench` I/O, structural analysis |
-//! | [`sim`] | bit-parallel two-valued and three-valued simulation |
+//! | [`sim`] | bit-parallel two-valued and three-valued simulation; `VectorSet` and the ordered `TestSet` |
 //! | [`faults`] | stuck-at + four-way bridging fault models, fault simulation |
 //! | [`seq`] | sequential circuits: FF-boundary extraction, two-frame time-frame expansion, transition faults |
 //! | [`fsm`] | KISS2 parsing, state encoding, two-level synthesis |
 //! | [`circuits`] | the paper's Figure-1 example and the benchmark suite |
 //! | [`analysis`] | worst-case `nmin` and average-case (Procedure 1) analyses |
-//! | [`gen`] | greedy set-cover n-detection test-set generation + compaction |
+//! | [`gen`] | the greedy set-cover n-detection generator + compaction |
 //! | [`store`] | content-addressed on-disk artifact cache (universes, nmin vectors, generated sets) |
 //! | [`serve`] | persistent analysis service: TCP line protocol, hot LRU, single-flight dedup |
 //! | [`chaos`] | deterministic fault-injection failpoints (`NDETECT_FAILPOINTS`) |

@@ -100,7 +100,7 @@ fn paper_worked_counterexample_for_f0() {
     let g0 = u.find_bridge("9", false, "10", true).expect("g0");
     let t_g0 = u.bridge_set(g0);
 
-    let mut adversarial = ndetect::analysis::TestSet::new(16);
+    let mut adversarial = ndetect::sim::TestSet::new(16);
     adversarial.push(4);
     adversarial.push(5);
     assert_eq!(adversarial.detection_count(t_f0), 2);

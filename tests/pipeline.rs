@@ -3,12 +3,12 @@
 //! circuits, checking the structural invariants that must hold for
 //! *any* circuit.
 
-use ndetect::analysis::atpg::{bridge_coverage, greedy_n_detection};
 use ndetect::analysis::{
     estimate_detection_probabilities, DetectionDefinition, Procedure1Config, WorstCaseAnalysis,
 };
 use ndetect::faults::FaultUniverse;
 use ndetect::fsm::{synthesize, MinimizeMode, StateEncoding, SynthOptions};
+use ndetect::gen::{generate, GenOptions};
 
 /// Small, fast circuits exercised in debug-mode CI.
 const SMALL: &[&str] = &["lion", "dk27", "bbtas", "firstex", "modulo12", "tav"];
@@ -160,7 +160,7 @@ fn greedy_sets_beat_random_sets_on_size() {
     for name in ["bbtas", "tav"] {
         let netlist = ndetect::circuits::build(name).expect("builds");
         let universe = FaultUniverse::build(&netlist).expect("fits");
-        let greedy = greedy_n_detection(&universe, 3);
+        let greedy = generate(&universe, &GenOptions::with_n(3));
         let config = Procedure1Config {
             nmax: 3,
             num_test_sets: 5,
@@ -176,7 +176,7 @@ fn greedy_sets_beat_random_sets_on_size() {
             "{name}: greedy {} not competitive with random {avg_random}",
             greedy.len()
         );
-        assert!(bridge_coverage(&universe, &greedy) > 0.0);
+        assert!(universe.bridging_coverage(greedy.as_vector_set()).1 > 0.0);
     }
 }
 
